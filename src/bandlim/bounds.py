@@ -87,7 +87,9 @@ def weighted_pointwise_bound(interp, D, t_grid):
     """Bound |xhat(t) - x(t)| for truths with weighted norm at most D."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     norm_sq = wnorm_sq(interp)
-    gap = D * D - norm_sq
+    # Factored so that D = sqrt(norm_sq) gives a gap of exactly zero
+    r = np.sqrt(max(norm_sq, 0.0))
+    gap = (D - r) * (D + r)
     if gap < -FEASIBILITY_RTOL * (1.0 + norm_sq):
         raise InfeasibleBallError(
             f"norm budget D^2 = {D * D:.6g} is below the interpolant norm "

@@ -239,18 +239,18 @@ def shift_invariant_approx(gram, samples, t):
 
     Evaluates ``sum_n x[n] u_0(t - n T)``; exact at the nodes and close to
     the full solve away from the window edges, at the cost of a single
-    inverse-row computation.
+    inverse-row computation. Since ``u_0`` is itself a kernel expansion, the
+    sum is one expansion over nodes -2N..2N whose coefficients are the
+    convolution of the samples with the center cardinal's coefficients.
     """
     if samples.half_count_N != gram.half_count_N:
         raise ValueError("sample count mismatch with the Gram system")
     t = np.asarray(t, dtype=float)
-    T = gram.spacing_T
-    total = np.zeros(t.shape, dtype=samples.values.dtype)
-    p0 = cardinal_coeffs(gram, 0)
-    for n, xn in zip(samples.indices, samples.values):
-        psi_mat = psi_closed_form(gram.kernel, (t - n * T)[..., None] - gram.times)
-        total = total + xn * (psi_mat @ p0)
-    return total
+    N = gram.half_count_N
+    coeffs = np.convolve(samples.values, cardinal_coeffs(gram, 0))
+    nodes = np.arange(-2 * N, 2 * N + 1) * gram.spacing_T
+    psi_mat = psi_closed_form(gram.kernel, t[..., None] - nodes)
+    return psi_mat @ coeffs
 
 
 def truncated_shannon(samples, t):

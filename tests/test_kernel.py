@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from bandlim import Kernel, WeightSpec, psi_closed_form, psi_quadrature, shannon_kernel
+from bandlim.kernel import _BLOCK
 from conftest import random_weight_spec
 
 
@@ -106,3 +108,57 @@ def test_even_symmetry_pointwise(t):
     k = Kernel.from_spec(spec)
     np.testing.assert_allclose(psi_closed_form(k, t), psi_closed_form(k, -t),
                                rtol=1e-13, atol=1e-18)
+
+
+def dense_reference(spec, t):
+    """The closed form summed term by term: M cosines and a float power."""
+    t = np.asarray(t, dtype=float)
+    A, K, M, d = spec.spacing_A, spec.degree_K, spec.half_count_M, spec.coeffs_d
+    mix = np.full(t.shape, d[M])
+    for m in range(1, M + 1):
+        mix = mix + 2.0 * d[M + m] * np.cos(2.0 * A * m * t)
+    envelope = (A / np.pi) * np.power(np.sinc(A * t / np.pi), float(K + 1))
+    return envelope * mix \
+        + 2.0 * spec.floor_alpha * spec.bandwidth_B * np.sinc(2.0 * spec.bandwidth_B * t)
+
+
+def reference_tolerance(spec):
+    return 1e-13 * ((spec.spacing_A / np.pi) * np.sum(np.abs(spec.coeffs_d))
+                    + 2.0 * spec.floor_alpha * spec.bandwidth_B)
+
+
+# Random specs, plus the flat K=0, M=0 rectangle PSDModel.uniform builds.
+spec_strategy = st.one_of(
+    st.integers(0, 10_000).map(random_weight_spec),
+    st.sampled_from([0.5, 1.0, 2.0]).map(
+        lambda B: WeightSpec(B, 0, 0, np.array([0.7]), 0.0)),
+)
+times_strategy = arrays(float, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=30),
+                        elements=st.floats(-2000.0, 2000.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec_strategy, times_strategy)
+@example(random_weight_spec(7), np.array(0.0))
+@example(WeightSpec(1.0, 0, 0, np.array([0.7]), 0.0), np.zeros((0, 3)))
+def test_closed_form_matches_dense_reference(spec, t):
+    value = np.asarray(psi_closed_form(Kernel.from_spec(spec), t))
+    assert value.shape == t.shape
+    np.testing.assert_allclose(value, dense_reference(spec, t), rtol=0,
+                               atol=reference_tolerance(spec))
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.integers(0, 10_000))
+def test_closed_form_across_block_boundaries(seed):
+    spec = random_weight_spec(seed)
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(-50.0, 50.0, (3, _BLOCK + 7))
+    value = psi_closed_form(Kernel.from_spec(spec), t)
+    expected = dense_reference(spec, t)
+    tol = reference_tolerance(spec)
+    flat_value, flat_expected = value.ravel(), expected.ravel()
+    for edge in (_BLOCK, 2 * _BLOCK, 3 * _BLOCK):
+        np.testing.assert_allclose(flat_value[edge - 2:edge + 2],
+                                   flat_expected[edge - 2:edge + 2], rtol=0, atol=tol)
+    np.testing.assert_allclose(value, expected, rtol=0, atol=tol)
