@@ -2,19 +2,24 @@
 
 The kernel is the inverse Fourier transform of the reciprocal weight over
 the band, using the ``(1/2pi) integral G(omega) exp(j omega t) domega``
-convention. For the B-spline weight family this has the closed form
+convention. There are three variants, all evaluated in closed form by
+`psi_closed_form`. For the B-spline weight family
 
     psi(t) = (A/pi) sinc(A t / pi)^(K+1) [ d_0 + 2 sum_{m>=1} d_m cos(2 A m t) ]
              + 2 alpha B sinc(2 B t),
 
 real and even because the coefficients are real and symmetric. The cosine
 polynomial is a Chebyshev series in ``x = cos(2 A t)``, summed by Clenshaw's
-recurrence (one ``cos`` per entry), and the sinc power is K multiplies; both
-run over the flattened times in fixed blocks, so temporaries stay O(block)
-and peak memory is the output array. A degenerate "uniform" kernel (W = 1
-over the band) evaluates to ``2 B sinc(2 B t)``. An adaptive-quadrature path
-evaluates the same transform directly from the reciprocal weight and serves
-as an independent cross-check.
+recurrence (one ``cos`` per entry), and the sinc power is K multiplies. For a
+tabulated density S (reciprocal weight linear between grid nodes, as
+``np.interp`` reads it, and constant beyond the end nodes) the transform
+``(1/pi) integral_0^{2 pi B} S(omega) cos(omega t)`` is summed exactly over
+the linear pieces. Both run over the flattened times in fixed blocks, so
+temporaries stay O(block) and peak memory is the output array. A degenerate
+"uniform" kernel (W = 1 over the band) evaluates to ``2 B sinc(2 B t)``. An
+adaptive-quadrature path evaluates the same transform directly from the
+reciprocal weight; it is the independent oracle for the closed forms and is
+used only to check them.
 """
 
 from dataclasses import dataclass
@@ -22,22 +27,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import DEFAULT_TOLERANCE, adaptive_simpson
-from .weights import WeightSpec
+from .weights import DensityGrid, WeightSpec
 
 # Entries of t per evaluation block: large enough to amortize the Python loop,
 # small enough for the block temporaries to stay in cache (2^14..2^16 timed
 # the same).
 _BLOCK = 1 << 14
 
+# Below this |x| the piece factors sin(x)/x and (sin x - x cos x)/x^2 come
+# from their Taylor series (ascending powers of x^2, truncation under 1e-16
+# relative), where the direct forms would cancel.
+_SERIES_LIMIT = 0.5
+_SINC_SERIES = np.array([1.0, -1 / 6, 1 / 120, -1 / 5040, 1 / 362880,
+                         -1 / 39916800, 1 / 6227020800])
+_SLOPE_SERIES = np.array([1 / 3, -1 / 30, 1 / 840, -1 / 45360, 1 / 3991680,
+                          -1 / 518918400, 1 / 93405312000])
+
 
 @dataclass(frozen=True)
 class Kernel:
-    """Interpolation kernel; either spec-backed or uniform over the band."""
+    """Interpolation kernel: spec-backed, grid-backed or uniform over the band."""
 
     bandwidth_B: float
     spec: WeightSpec | None = None
+    grid: DensityGrid | None = None
 
     def __post_init__(self):
+        if self.spec is not None and self.grid is not None:
+            raise ValueError("a kernel takes a weight spec or a density grid, not both")
         if self.spec is not None and self.spec.bandwidth_B != self.bandwidth_B:
             raise ValueError("kernel bandwidth must match its weight spec")
         if self.bandwidth_B <= 0:
@@ -52,9 +69,16 @@ class Kernel:
     def from_spec(cls, spec):
         return cls(bandwidth_B=spec.bandwidth_B, spec=spec)
 
+    @classmethod
+    def from_grid(cls, bandwidth_B, grid):
+        """Kernel whose reciprocal weight is a tabulated density (W = 1/S)."""
+        return cls(bandwidth_B=bandwidth_B, grid=grid)
+
     @property
     def psi0(self):
         """Kernel value at the origin, (1/2pi) times the band integral of G."""
+        if self.grid is not None:
+            return float(psi_closed_form(self, 0.0))
         if self.spec is None:
             return 2.0 * self.bandwidth_B
         s = self.spec
@@ -66,6 +90,8 @@ def psi_closed_form(kernel, t):
     """Evaluate the kernel at times ``t`` via the closed-form expression."""
     t = np.asarray(t, dtype=float)
     B = kernel.bandwidth_B
+    if kernel.grid is not None:
+        return _psi_grid(kernel, t)
     if kernel.spec is None:
         return 2.0 * B * np.sinc(2.0 * B * t)
     spec = kernel.spec
@@ -90,6 +116,47 @@ def psi_closed_form(kernel, t):
             env += floor * np.sinc(2.0 * B * tb)
         out[start:start + _BLOCK] = env
     # [()] turns a 0-d result into a scalar, as the ufunc path returns
+    return out.reshape(t.shape)[()]
+
+
+def _psi_grid(kernel, t):
+    """Transform of a tabulated density, summed exactly over its linear pieces.
+
+    On a piece of width h = 2 delta around c the density is S_bar + m (omega - c),
+    and its contribution to (1/pi) integral_0^{2piB} S cos(omega t) is
+
+        (h S_bar / pi) cos(c t) sin(x)/x - (h m delta / pi) sin(c t) (sin x - x cos x)/x^2
+
+    with x = delta t; at t = 0 the sum over pieces is the trapezoid rule.
+    """
+    edge = 2.0 * np.pi * kernel.bandwidth_B
+    om = kernel.grid.omegas
+    # np.interp is constant beyond the end nodes: those stretches are pieces too
+    cuts = np.concatenate([[0.0], om[(om > 0.0) & (om < edge)], [edge]])
+    s = np.interp(cuts, om, kernel.grid.values)
+    width = np.diff(cuts)
+    mid, half = 0.5 * (cuts[:-1] + cuts[1:]), 0.5 * width
+    mean_w = width * (0.5 / np.pi) * (s[:-1] + s[1:])
+    slope_w = width * (0.5 / np.pi) * (s[1:] - s[:-1])
+    flat = np.abs(t.ravel())
+    out = np.empty(flat.shape)
+    step = max(1, _BLOCK // mid.size)
+    for start in range(0, flat.size, step):
+        tb = flat[start:start + step]
+        x = np.multiply.outer(tb, half)
+        x2 = x * x
+        sinc = np.polynomial.polynomial.polyval(x2, _SINC_SERIES)
+        slope = x * np.polynomial.polynomial.polyval(x2, _SLOPE_SERIES)
+        big = x >= _SERIES_LIMIT
+        if big.any():
+            xb = x[big]
+            sin_x = np.sin(xb)
+            sinc[big] = sin_x / xb
+            slope[big] = (sin_x - xb * np.cos(xb)) / (xb * xb)
+        phase = np.multiply.outer(tb, mid)
+        sinc *= np.cos(phase)
+        slope *= np.sin(phase)
+        out[start:start + step] = sinc @ mean_w - slope @ slope_w
     return out.reshape(t.shape)[()]
 
 
@@ -129,7 +196,11 @@ def psi_quadrature(kernel, t, tolerance=DEFAULT_TOLERANCE):
     """
     t = float(t)
     edge = 2.0 * np.pi * kernel.bandwidth_B
-    if kernel.spec is None:
+    if kernel.grid is not None:
+        grid = kernel.grid
+        integrand = lambda om: np.interp(om, grid.omegas, grid.values) * np.cos(om * t)
+        knots = grid.omegas
+    elif kernel.spec is None:
         integrand = lambda om: np.cos(om * t)
         knots = None
     else:

@@ -6,6 +6,9 @@ the linear minimum-mean-squared-error interpolator of its samples expands in
 translates of R(tau) with coefficients pinned by node exactness. Choosing
 frequency weights W = 1/S makes the deterministic weighted interpolant
 identical to this estimator, which the Monte-Carlo harness here quantifies.
+So R is the kernel of W = 1/S: every density (weight spec, tabulated grid or
+flat level) maps to a `Kernel` through `PSDModel.matched_kernel`, and R and
+the LMMSE estimate come from the kernel pipeline in closed form.
 
 Randomness uses numpy's PCG64 generator (``numpy.random.default_rng``);
 realization k of a run seeded with s draws from ``default_rng([s, k])``, so
@@ -15,12 +18,10 @@ results are reproducible for a fixed seed schedule.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, toeplitz
+from scipy.linalg import cho_solve
 
-from . import interpolate
 from .interpolate import build_gram, evaluate, solve
 from .kernel import Kernel, psi_closed_form
-from .quadrature import DEFAULT_TOLERANCE, adaptive_simpson
 from .weights import DensityGrid, WeightSpec, inverse_weight_eval
 
 SYNTHESIS_GRID_SIZE = 2048
@@ -86,47 +87,24 @@ class PSDModel:
             flat = WeightSpec(self.bandwidth_B, 0, 0,
                               np.array([self.uniform_level]), 0.0)
             return Kernel.from_spec(flat)
-        return None
+        return Kernel.from_grid(self.bandwidth_B, self.grid)
 
 
-def autocorrelation(psd, tau, tolerance=DEFAULT_TOLERANCE):
+def autocorrelation(psd, tau):
     """Autocorrelation R(tau), the inverse Fourier transform of the density."""
-    kern = psd.matched_kernel()
-    if kern is not None:
-        return psi_closed_form(kern, tau)
-    edge = 2.0 * np.pi * psd.bandwidth_B
-    tau = np.asarray(tau, dtype=float)
-
-    def single(tv):
-        integrand = lambda om: psd.values(om) * np.cos(om * tv)
-        return adaptive_simpson(integrand, 0.0, edge, tolerance=tolerance,
-                                breakpoints=psd.grid.omegas) / np.pi
-
-    if tau.ndim == 0:
-        return single(float(tau))
-    return np.array([single(float(tv)) for tv in tau.ravel()]).reshape(tau.shape)
+    return psi_closed_form(psd.matched_kernel(), tau)
 
 
 def lmmse_interpolate(samples, psd, t, ridge_sigma2=0.0):
     """LMMSE estimate of the process at times ``t`` from its samples.
 
-    The pipeline matches the deterministic weighted interpolation with the
-    kernel replaced by the autocorrelation; for spec-backed densities they
-    are the same function.
+    This is the weighted interpolant with W = 1/S, whose kernel is the
+    autocorrelation. With ``ridge_sigma2 > 0`` only the ridged Gram matrix
+    has to be positive definite.
     """
-    kern = psd.matched_kernel()
-    if kern is not None:
-        gram = build_gram(kern, samples.spacing_T, samples.half_count_N)
-        return evaluate(solve(gram, samples, ridge_sigma2), t)
-    # Tabulated density: assemble the Gram system from quadrature values.
-    T, N = samples.spacing_T, samples.half_count_N
-    first_row = autocorrelation(psd, np.arange(2 * N + 1) * T)
-    factor = cho_factor(toeplitz(first_row) + ridge_sigma2 * np.eye(2 * N + 1),
-                        lower=True)
-    c = interpolate._cho_solve_any(factor, samples.values)
-    t = np.asarray(t, dtype=float)
-    r_mat = autocorrelation(psd, t[..., None] - samples.times)
-    return r_mat @ c
+    gram = build_gram(psd.matched_kernel(), samples.spacing_T,
+                      samples.half_count_N, require_pd=ridge_sigma2 == 0)
+    return evaluate(solve(gram, samples, ridge_sigma2), t)
 
 
 def synthesize_process(psd, seed, t_grid, nfreq=SYNTHESIS_GRID_SIZE):
@@ -197,14 +175,9 @@ def _node_predictor(psd, kind, T, N, t_eval):
         kern = Kernel.uniform(psd.bandwidth_B)
     else:
         kern = psd.matched_kernel()
-        if kern is None:
-            first_row = autocorrelation(psd, np.arange(2 * N + 1) * T)
-            factor = cho_factor(toeplitz(first_row), lower=True)
-            r_vec = autocorrelation(psd, t_eval - nodes)
-            return lambda x: r_vec @ interpolate._cho_solve_any(factor, x)
     gram = build_gram(kern, T, N)
     psi_vec = psi_closed_form(kern, t_eval - nodes)
-    return lambda x: psi_vec @ interpolate._cho_solve_any(gram.cholesky, x)
+    return lambda x: psi_vec @ cho_solve(gram.cholesky, x)
 
 
 def _synthesis_weights(psd, nfreq):

@@ -57,3 +57,35 @@ def random_weight_spec(seed, degree_K=None, half_count_M=None, bandwidth_B=None)
     d = np.concatenate([half[:0:-1], half])
     alpha = float(rng.uniform(0.01, 0.3))
     return WeightSpec(B, K, M, d, alpha)
+
+
+def tabulated_transform_reference(bandwidth_B, grid, t, order=12):
+    """(1/pi) integral_0^{2piB} S(omega) cos(omega t) by Gauss-Legendre rules.
+
+    S is ``np.interp`` over the grid (linear between nodes, constant beyond
+    the end nodes). Each stretch between the grid nodes inside the band is
+    split so that a subinterval spans at most one radian of ``omega t`` at
+    the largest |t|, where the order-``order`` rule is exact to rounding.
+    """
+    t = np.asarray(t, dtype=float)
+    edge = 2.0 * np.pi * bandwidth_B
+    om = grid.omegas
+    cuts = np.concatenate([[0.0], om[(om > 0.0) & (om < edge)], [edge]])
+    reach = float(np.max(np.abs(t), initial=0.0))
+    edges = np.concatenate([np.linspace(lo, hi, int(np.ceil((hi - lo) * reach)) + 2)[:-1]
+                            for lo, hi in zip(cuts[:-1], cuts[1:])] + [[edge]])
+    x, w = np.polynomial.legendre.leggauss(order)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    points = (0.5 * (hi - lo) * x + 0.5 * (hi + lo)).ravel()
+    weights = (0.5 * (hi - lo) * w).ravel() * np.interp(points, om, grid.values) / np.pi
+    flat = t.ravel()
+    out = np.array([np.cos(tv * points) @ weights for tv in flat])
+    return out.reshape(t.shape)
+
+
+def tabulated_transform_scale(bandwidth_B, grid):
+    """(1/pi) integral_0^{2piB} |S|, the scale of the transform's values."""
+    edge = 2.0 * np.pi * bandwidth_B
+    om = np.linspace(0.0, edge, 20001)
+    s = np.abs(np.interp(om, grid.omegas, grid.values))
+    return float(np.sum(0.5 * (s[1:] + s[:-1]) * np.diff(om)) / np.pi)

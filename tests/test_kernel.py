@@ -3,9 +3,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from bandlim import Kernel, WeightSpec, psi_closed_form, psi_quadrature, shannon_kernel
+from bandlim import (DensityGrid, Kernel, WeightSpec, psi_closed_form, psi_quadrature,
+                     shannon_kernel)
 from bandlim.kernel import _BLOCK
-from conftest import random_weight_spec
+from conftest import (random_weight_spec, tabulated_transform_reference,
+                      tabulated_transform_scale)
 
 
 def oracle_tolerance(kernel):
@@ -161,4 +163,97 @@ def test_closed_form_across_block_boundaries(seed):
     for edge in (_BLOCK, 2 * _BLOCK, 3 * _BLOCK):
         np.testing.assert_allclose(flat_value[edge - 2:edge + 2],
                                    flat_expected[edge - 2:edge + 2], rtol=0, atol=tol)
+    np.testing.assert_allclose(value, expected, rtol=0, atol=tol)
+
+
+@st.composite
+def density_grids(draw):
+    """A bandwidth and a random nonuniform grid that may start above 0 and end
+    below the band edge or past it."""
+    B = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    edge = 2.0 * np.pi * B
+    start = draw(st.floats(-1.2, 0.9)) * edge
+    stop = draw(st.floats(start / edge + 0.05, 2.0)) * edge
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inner = rng.uniform(start, stop, draw(st.integers(0, 40)))
+    omegas = np.unique(np.concatenate([[start, stop], inner]))
+    return B, DensityGrid(omegas, rng.uniform(0.0, 5.0, omegas.size))
+
+
+def grid_example(B, start, stop, count, seed=0):
+    rng = np.random.default_rng(seed)
+    omegas = np.linspace(start, stop, count) * 2.0 * np.pi * B
+    return B, DensityGrid(omegas, rng.uniform(0.1, 3.0, count))
+
+
+tiny = [s * v for v in (0.0, 1e-12, 1e-8, 1e-4) for s in (1.0, -1.0)]
+grid_times = arrays(float, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=8),
+                    elements=st.one_of(st.sampled_from(tiny), st.floats(-1e3, 1e3)))
+
+
+class TestGridKernel:
+    def test_spec_and_grid_exclusive(self):
+        grid = DensityGrid([0.0, 1.0], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            Kernel(bandwidth_B=1.0, spec=random_weight_spec(3, bandwidth_B=1.0), grid=grid)
+
+    def test_origin_is_trapezoid_sum(self):
+        B, grid = grid_example(1.0, -0.3, 0.7, 9)
+        edge = 2.0 * np.pi * B
+        cuts = np.concatenate([[0.0], grid.omegas[grid.omegas > 0], [edge]])
+        s = np.interp(cuts, grid.omegas, grid.values)
+        trapezoid = np.sum(0.5 * (s[1:] + s[:-1]) * np.diff(cuts)) / np.pi
+        k = Kernel.from_grid(B, grid)
+        assert float(psi_closed_form(k, 0.0)) == pytest.approx(trapezoid, rel=1e-14)
+        assert k.psi0 == float(psi_closed_form(k, 0.0))
+
+    def test_flat_density_is_scaled_uniform(self):
+        k = Kernel.from_grid(2.0, DensityGrid([-20.0, 20.0], [3.0, 3.0]))
+        t = np.linspace(-5, 5, 41)
+        np.testing.assert_allclose(psi_closed_form(k, t),
+                                   3.0 * psi_closed_form(Kernel.uniform(2.0), t),
+                                   rtol=1e-13, atol=1e-14)
+
+    @settings(max_examples=10, deadline=None)
+    @given(density_grids(), st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=3))
+    @example(grid_example(1.0, 0.2, 0.8, 6), [0.0, 3.3])
+    @example(grid_example(0.5, -1.0, 1.5, 11), [-7.1, 12.0])
+    def test_closed_form_against_quadrature_oracle(self, case, times):
+        B, grid = case
+        k = Kernel.from_grid(B, grid)
+        tol = 1e-8 * max(1.0, tabulated_transform_scale(B, grid))
+        for t in times:
+            assert float(psi_closed_form(k, t)) == pytest.approx(psi_quadrature(k, t), abs=tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(density_grids(), grid_times)
+@example(grid_example(1.0, 0.3, 0.6, 4), np.array(0.0))              # starts above 0
+@example(grid_example(1.0, -0.5, 0.4, 7), np.array([1e-12, -1e-4]))  # ends below the edge
+@example(grid_example(2.0, -1.0, 1.7, 30), np.zeros((0, 3)))        # runs past the edge
+@example(grid_example(0.5, 0.0, 1.0, 3), np.array([[1e3, -1e3], [1e-8, 0.0]]))
+def test_grid_closed_form_matches_gauss_legendre(case, t):
+    B, grid = case
+    value = np.asarray(psi_closed_form(Kernel.from_grid(B, grid), t))
+    assert value.shape == t.shape
+    scale = tabulated_transform_scale(B, grid)
+    np.testing.assert_allclose(value, tabulated_transform_reference(B, grid, t),
+                               rtol=0, atol=2e-13 * scale)
+    np.testing.assert_array_equal(value, psi_closed_form(Kernel.from_grid(B, grid), -t))
+
+
+def test_grid_closed_form_across_block_boundaries():
+    rng = np.random.default_rng(5)
+    B = 1.0
+    omegas = np.sort(rng.uniform(-0.5, 2.0 * np.pi * B + 0.5, 1000))
+    grid = DensityGrid(omegas, rng.uniform(0.2, 4.0, omegas.size))
+    pieces = np.count_nonzero((omegas > 0) & (omegas < 2.0 * np.pi * B)) + 1
+    step = _BLOCK // pieces
+    t = rng.uniform(-30.0, 30.0, 3 * step + 5)
+    value = psi_closed_form(Kernel.from_grid(B, grid), t)
+    expected = tabulated_transform_reference(B, grid, t)
+    tol = 2e-13 * tabulated_transform_scale(B, grid)
+    for edge in (step, 2 * step, 3 * step):
+        np.testing.assert_allclose(value[edge - 2:edge + 2], expected[edge - 2:edge + 2],
+                                   rtol=0, atol=tol)
     np.testing.assert_allclose(value, expected, rtol=0, atol=tol)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from bandlim import (DensityGrid, PSDModel, autocorrelation, build_gram,
-                     empirical_mse, evaluate, inverse_weight_eval,
-                     lmmse_interpolate, sample_signal, solve, squared_errors,
-                     synthesize_process, truncated_shannon)
+from bandlim import (DensityGrid, NotPositiveDefiniteError, PSDModel, SampleSet,
+                     autocorrelation, build_gram, empirical_mse, evaluate,
+                     gaussian_smooth, inverse_weight_eval, lmmse_interpolate,
+                     sample_signal, solve, squared_errors, synthesize_process,
+                     truncated_shannon)
+from bandlim.signals import spectral_density_grid
+from conftest import tabulated_transform_reference
 
 B = 1.0
 
@@ -111,6 +114,49 @@ class TestLMMSE:
         spec_backed = lmmse_interpolate(samples, lowpass_psd, t)
         np.testing.assert_allclose(lmmse_interpolate(samples, psd, t),
                                    spec_backed, atol=1e-4)
+
+
+@pytest.fixture(scope="module")
+def tabulated_psd():
+    """A nonuniform tabulated density that starts above 0 and ends past the band edge."""
+    rng = np.random.default_rng(17)
+    om = np.sort(rng.uniform(0.4, 7.5, 60))
+    return PSDModel.from_grid(B, DensityGrid(om, rng.uniform(0.3, 2.0, om.size)))
+
+
+class TestTabulatedPSD:
+    def test_lmmse_is_the_kernel_pipeline(self, tabulated_psd):
+        rng = np.random.default_rng(12)
+        samples = SampleSet(0.7, rng.standard_normal(15))
+        t = np.linspace(-6, 6, 37)
+        gram = build_gram(tabulated_psd.matched_kernel(), samples.spacing_T,
+                          samples.half_count_N)
+        np.testing.assert_array_equal(lmmse_interpolate(samples, tabulated_psd, t),
+                                      evaluate(solve(gram, samples), t))
+
+    def test_matched_weight_squared_errors_replay(self, tabulated_psd):
+        T, N, t_eval, seed = 0.8, 5, 0.37, 99
+        nodes = np.arange(-N, N + 1) * T
+        lags = nodes[:, None] - nodes[None, :]
+        gram = tabulated_transform_reference(B, tabulated_psd.grid, lags)
+        row = np.linalg.solve(gram, tabulated_transform_reference(
+            B, tabulated_psd.grid, t_eval - nodes))
+        errors = squared_errors(tabulated_psd, "matched_weight", T, N, t_eval, 6, seed)
+        pts = np.concatenate([nodes, [t_eval]])
+        for k, err in enumerate(errors):
+            x = synthesize_process(tabulated_psd, [seed, k], pts)
+            assert err == pytest.approx((row @ x[:-1] - x[-1]) ** 2, rel=1e-10, abs=1e-14)
+
+    def test_not_positive_definite_error(self, highfreq_signal):
+        sigma = 2.0 * 2.0 * np.pi * B / (3 + 2 * 11 + 1)
+        grid = gaussian_smooth(spectral_density_grid(highfreq_signal), sigma)
+        psd = PSDModel.from_grid(B, grid)
+        samples = SampleSet(0.02, np.ones(81))
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            lmmse_interpolate(samples, psd, [0.1])
+        assert info.value.condition_estimate > 1e12
+        with pytest.raises(NotPositiveDefiniteError):
+            squared_errors(psd, "matched_weight", 0.02, 40, 0.01, 2, 1)
 
 
 class TestSynthesis:
