@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .interpolate import NotPositiveDefiniteError, truncated_shannon, wnorm_sq
+from .interpolate import truncated_shannon, wnorm_sq
 from .kernel import psi_closed_form
 
 POWER_CLAMP = 1e-12
@@ -65,15 +65,12 @@ class MinimaxAdversary:
 
 def power_function(gram, t):
     """Power function P(t) >= 0 of the Gram system, zero at the nodes."""
-    if gram.cholesky is None:
-        raise NotPositiveDefiniteError(
-            "power function needs an invertible Gram matrix",
-            condition_estimate=gram.condition_estimate)
+    factor = gram.factor()
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    psi0 = float(psi_closed_form(gram.kernel, 0.0))
+    psi0 = gram.kernel.psi0
     # v[:, j] holds psi(t_j - nT); the cardinal values are u = R^{-1} v.
     v = psi_closed_form(gram.kernel, t[None, :] - gram.times[:, None])
-    u = cho_solve(gram.cholesky, v)
+    u = cho_solve(factor, v)
     p2 = psi0 - 2.0 * np.sum(u * v, axis=0) + np.sum(u * (gram.dense @ u), axis=0)
     floor = -POWER_CLAMP * max(1.0, abs(psi0))
     if np.any(p2 < floor):

@@ -34,16 +34,22 @@ class ConfigError(ValueError):
 
 
 def main(argv=None):
-    """Entry point mapping failures to the documented exit codes."""
+    """Entry point mapping failures to the documented exit codes.
+
+    Every argument the library sees comes from the config, so a
+    ``ValueError`` from its argument checks is a configuration error. The
+    numerical failures that are also ``ValueError`` (an infeasible ball, a
+    Gram matrix that does not factor) are matched first.
+    """
     try:
         cli.main(args=argv, standalone_mode=False)
-    except (ConfigError, click.UsageError, click.BadParameter) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
     except (NotPositiveDefiniteError, InfeasibleBallError, NegativePowerError,
             QuadratureError, WeightFitError, np.linalg.LinAlgError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
+    except (ValueError, click.UsageError, click.BadParameter) as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(2)
     except click.exceptions.Exit as exc:
         sys.exit(exc.exit_code)
     sys.exit(0)
@@ -105,7 +111,7 @@ def compare(config_path, output_dir, seed, quiet):
             continue
         kern = (_kernel_from_config(cfg, B) if kind == "weighted"
                 else Kernel.uniform(B))
-        gram = build_gram(kern, T, N, require_pd=(ridge == 0.0))
+        gram = build_gram(kern, T, N)
         columns[kind] = np.real(evaluate(solve(gram, samples, ridge), grid))
 
     central = np.abs(grid) <= 0.5 * N * T
@@ -261,6 +267,8 @@ def _require(cfg, key, cast):
 
 
 def _spacing(cfg, bandwidth):
+    if not bandwidth > 0.0:
+        raise ConfigError(f"bandwidth_hz must be positive, got {bandwidth}")
     fraction = _require(cfg, "nyquist_fraction", float)
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"nyquist_fraction must be in (0, 1], got {fraction}")

@@ -80,6 +80,9 @@ class SampleSet:
             for row in reader:
                 if not row:
                     continue
+                if len(row) < 2:
+                    raise ValueError(f"{path} line {reader.line_num}: expected "
+                                     f"(n, value) or (n, re, im), got {row!r}")
                 n = int(row[0])
                 if len(row) >= 3:
                     entries[n] = complex(float(row[1]), float(row[2]))
@@ -98,18 +101,17 @@ class SampleSet:
 class GramMatrix:
     """Kernel Gram system for one (kernel, T, N) configuration.
 
-    ``first_row`` holds psi(k T) for k = 0..2N (the Toeplitz generator);
-    ``dense`` is the expanded symmetric matrix; ``cholesky`` caches the
-    lower factor when the matrix is numerically positive definite, else
-    None. ``condition_estimate`` is the squared ratio of extreme Cholesky
-    diagonal entries (an estimate, not the spectral condition number),
-    falling back to an eigenvalue ratio when factorization fails.
+    ``dense`` is the symmetric Toeplitz matrix psi((m - n) T). ``cholesky``
+    holds its lower factor, or None when it is not numerically positive
+    definite; every use goes through `factor`, which then raises.
+    ``condition_estimate`` is the squared ratio of extreme Cholesky diagonal
+    entries (an estimate, not the spectral condition number), falling back
+    to an eigenvalue ratio when factorization fails.
     """
 
     kernel: object
     spacing_T: float
     half_count_N: int
-    first_row: np.ndarray
     dense: np.ndarray
     cholesky: object
     condition_estimate: float
@@ -122,36 +124,43 @@ class GramMatrix:
     def times(self):
         return np.arange(-self.half_count_N, self.half_count_N + 1) * self.spacing_T
 
+    @property
+    def first_row(self):
+        """psi(k T) for k = 0..2N, the Toeplitz generator (read-only)."""
+        return self.dense[0]
+
+    def factor(self):
+        """Cholesky factor for `cho_solve`, or `NotPositiveDefiniteError`."""
+        if self.cholesky is None:
+            raise NotPositiveDefiniteError(
+                "Gram matrix is not numerically positive definite at "
+                f"T={self.spacing_T!r}, N={self.half_count_N} (condition "
+                f"estimate {self.condition_estimate:.3e}); consider ridge_sigma2 > 0",
+                condition_estimate=self.condition_estimate)
+        return self.cholesky
+
 
 @dataclass(frozen=True)
 class Interpolant:
-    """Solved kernel expansion together with its source system."""
+    """Solved kernel expansion: coefficients over the nodes of its Gram system."""
 
-    kernel: object
-    spacing_T: float
-    half_count_N: int
+    gram: GramMatrix
     coeffs_c: np.ndarray
     ridge_sigma2: float
-    condition_estimate: float
-    gram: GramMatrix
 
 
-def build_gram(kernel, T, N, require_pd=True):
+def build_gram(kernel, T, N):
     """Assemble the Gram matrix of kernel values psi((m - n) T).
 
-    Raises
-    ------
-    NotPositiveDefiniteError
-        When ``require_pd`` and the Cholesky factorization fails; the error
-        carries a condition estimate. Pass ``require_pd=False`` to obtain
-        the (factorization-less) matrix anyway, e.g. for a ridge retry.
+    Never fails on a matrix that does not factor: `NotPositiveDefiniteError`
+    surfaces at the first use of the factor (`solve` without ridge,
+    `cardinal`, `power_function`); a ridged `solve` needs only R + sigma^2 I.
     """
     if T <= 0:
         raise ValueError(f"spacing T must be positive, got {T}")
     if N < 0:
         raise ValueError(f"half count N must be >= 0, got {N}")
-    first_row = np.asarray(psi_closed_form(kernel, np.arange(2 * N + 1) * T))
-    dense = toeplitz(first_row)
+    dense = toeplitz(psi_closed_form(kernel, np.arange(2 * N + 1) * T))
     try:
         factor = cho_factor(dense, lower=True)
         diag = np.diag(factor[0])
@@ -159,16 +168,9 @@ def build_gram(kernel, T, N, require_pd=True):
     except np.linalg.LinAlgError:
         factor = None
         cond = _eig_condition(dense)
-        if require_pd:
-            raise NotPositiveDefiniteError(
-                f"Gram matrix is not numerically positive definite at T={T!r}, "
-                f"N={N} (condition estimate {cond:.3e}); consider ridge_sigma2 > 0",
-                condition_estimate=cond) from None
-    first_row.setflags(write=False)
     dense.setflags(write=False)
-    return GramMatrix(kernel=kernel, spacing_T=T, half_count_N=N,
-                      first_row=first_row, dense=dense, cholesky=factor,
-                      condition_estimate=cond)
+    return GramMatrix(kernel=kernel, spacing_T=T, half_count_N=N, dense=dense,
+                      cholesky=factor, condition_estimate=cond)
 
 
 def solve(gram, samples, ridge_sigma2=0.0):
@@ -190,26 +192,15 @@ def solve(gram, samples, ridge_sigma2=0.0):
                 "ridge-augmented Gram matrix failed to factor",
                 condition_estimate=gram.condition_estimate) from None
     else:
-        if gram.cholesky is None:
-            raise NotPositiveDefiniteError(
-                "Gram matrix has no Cholesky factorization; solve with "
-                "ridge_sigma2 > 0 instead",
-                condition_estimate=gram.condition_estimate)
-        factor = gram.cholesky
+        factor = gram.factor()
     c = _cho_solve_any(factor, samples.values)
     c.setflags(write=False)
-    return Interpolant(kernel=gram.kernel, spacing_T=gram.spacing_T,
-                       half_count_N=gram.half_count_N, coeffs_c=c,
-                       ridge_sigma2=ridge_sigma2,
-                       condition_estimate=gram.condition_estimate, gram=gram)
+    return Interpolant(gram=gram, coeffs_c=c, ridge_sigma2=ridge_sigma2)
 
 
 def evaluate(interp, t):
     """Evaluate the kernel expansion sum_n c_n psi(t - n T) at ``t``."""
-    t = np.asarray(t, dtype=float)
-    nodes = np.arange(-interp.half_count_N, interp.half_count_N + 1) * interp.spacing_T
-    psi_mat = psi_closed_form(interp.kernel, t[..., None] - nodes)
-    return psi_mat @ interp.coeffs_c
+    return _expand(interp.gram.kernel, interp.gram.times, interp.coeffs_c, t)
 
 
 def cardinal_coeffs(gram, n):
@@ -217,21 +208,14 @@ def cardinal_coeffs(gram, n):
     N = gram.half_count_N
     if abs(n) > N:
         raise IndexError(f"|n| must be <= {N}, got {n}")
-    if gram.cholesky is None:
-        raise NotPositiveDefiniteError(
-            "cardinal functions need an invertible Gram matrix",
-            condition_estimate=gram.condition_estimate)
     e = np.zeros(gram.size)
     e[n + N] = 1.0
-    return cho_solve(gram.cholesky, e)
+    return cho_solve(gram.factor(), e)
 
 
 def cardinal(gram, n, t):
     """Cardinal interpolation function u_n(t), satisfying u_n(mT) = delta[n-m]."""
-    p = cardinal_coeffs(gram, n)
-    t = np.asarray(t, dtype=float)
-    psi_mat = psi_closed_form(gram.kernel, t[..., None] - gram.times)
-    return psi_mat @ p
+    return _expand(gram.kernel, gram.times, cardinal_coeffs(gram, n), t)
 
 
 def shift_invariant_approx(gram, samples, t):
@@ -245,12 +229,16 @@ def shift_invariant_approx(gram, samples, t):
     """
     if samples.half_count_N != gram.half_count_N:
         raise ValueError("sample count mismatch with the Gram system")
-    t = np.asarray(t, dtype=float)
     N = gram.half_count_N
     coeffs = np.convolve(samples.values, cardinal_coeffs(gram, 0))
     nodes = np.arange(-2 * N, 2 * N + 1) * gram.spacing_T
-    psi_mat = psi_closed_form(gram.kernel, t[..., None] - nodes)
-    return psi_mat @ coeffs
+    return _expand(gram.kernel, nodes, coeffs, t)
+
+
+def _expand(kernel, nodes, coeffs, t):
+    # sum_n coeffs[n] psi(t - nodes[n]), broadcast over the shape of t
+    t = np.asarray(t, dtype=float)
+    return psi_closed_form(kernel, t[..., None] - nodes) @ coeffs
 
 
 def truncated_shannon(samples, t):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import DEFAULT_TOLERANCE, adaptive_simpson
-from .weights import DensityGrid, WeightSpec
+from .weights import DensityGrid, WeightSpec, inverse_weight_eval
 
 # Entries of t per evaluation block: large enough to amortize the Python loop,
 # small enough for the block temporaries to stay in cache (2^14..2^16 timed
@@ -77,13 +77,15 @@ class Kernel:
     @property
     def psi0(self):
         """Kernel value at the origin, (1/2pi) times the band integral of G."""
+        return float(psi_closed_form(self, 0.0))
+
+    def reciprocal(self, omega):
+        """Reciprocal weight G = 1/W at in-band angular frequencies."""
         if self.grid is not None:
-            return float(psi_closed_form(self, 0.0))
+            return np.interp(omega, self.grid.omegas, self.grid.values)
         if self.spec is None:
-            return 2.0 * self.bandwidth_B
-        s = self.spec
-        return float((s.spacing_A / np.pi) * np.sum(s.coeffs_d)
-                     + 2.0 * s.floor_alpha * s.bandwidth_B)
+            return np.ones(np.shape(omega))
+        return inverse_weight_eval(self.spec, omega)
 
 
 def psi_closed_form(kernel, t):
@@ -196,20 +198,12 @@ def psi_quadrature(kernel, t, tolerance=DEFAULT_TOLERANCE):
     """
     t = float(t)
     edge = 2.0 * np.pi * kernel.bandwidth_B
+    knots = None
     if kernel.grid is not None:
-        grid = kernel.grid
-        integrand = lambda om: np.interp(om, grid.omegas, grid.values) * np.cos(om * t)
-        knots = grid.omegas
-    elif kernel.spec is None:
-        integrand = lambda om: np.cos(om * t)
-        knots = None
-    else:
-        spec = kernel.spec
-        # The rectangle term is taken at its open-band limit (alpha) so the
-        # integrand is continuous up to the edge; the jump there has measure
-        # zero and would otherwise defeat length-proportional tolerances.
-        integrand = lambda om: _reciprocal_weight_continuous(spec, om) * np.cos(om * t)
-        knots = _spline_knots(spec)
+        knots = kernel.grid.omegas
+    elif kernel.spec is not None:
+        knots = _spline_knots(kernel.spec)
+    integrand = lambda om: kernel.reciprocal(om) * np.cos(om * t)
     value = adaptive_simpson(integrand, 0.0, edge, tolerance=tolerance,
                              breakpoints=knots)
     return value / np.pi
@@ -220,16 +214,6 @@ def shannon_kernel(T, t):
     if T <= 0:
         raise ValueError(f"spacing T must be positive, got {T}")
     return np.sinc(np.asarray(t, dtype=float) / T)
-
-
-def _reciprocal_weight_continuous(spec, omega):
-    # Spline sum plus the constant alpha floor: equals inverse_weight_eval on
-    # the open band, continuously extended to the edge.
-    from .weights import _spline_mix
-
-    x = np.asarray(omega, dtype=float) / (2.0 * spec.spacing_A)
-    return _spline_mix(spec.degree_K, spec.half_count_M, spec.coeffs_d, x) \
-        + spec.floor_alpha
 
 
 def _spline_knots(spec):

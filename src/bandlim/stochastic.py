@@ -22,7 +22,7 @@ from scipy.linalg import cho_solve
 
 from .interpolate import build_gram, evaluate, solve
 from .kernel import Kernel, psi_closed_form
-from .weights import DensityGrid, WeightSpec, inverse_weight_eval
+from .weights import DensityGrid, WeightSpec
 
 SYNTHESIS_GRID_SIZE = 2048
 MSE_KINDS = ("shannon", "uniform_weight", "matched_weight")
@@ -70,12 +70,7 @@ class PSDModel:
 
     def values(self, omegas):
         """Density values at in-band angular frequencies."""
-        omegas = np.asarray(omegas, dtype=float)
-        if self.uniform_level is not None:
-            return np.full(omegas.shape, float(self.uniform_level))
-        if self.spec is not None:
-            return inverse_weight_eval(self.spec, omegas)
-        return np.interp(omegas, self.grid.omegas, self.grid.values)
+        return self.matched_kernel().reciprocal(omegas)
 
     def matched_kernel(self):
         """Interpolation kernel whose weights satisfy W = 1/S."""
@@ -103,7 +98,7 @@ def lmmse_interpolate(samples, psd, t, ridge_sigma2=0.0):
     has to be positive definite.
     """
     gram = build_gram(psd.matched_kernel(), samples.spacing_T,
-                      samples.half_count_N, require_pd=ridge_sigma2 == 0)
+                      samples.half_count_N)
     return evaluate(solve(gram, samples, ridge_sigma2), t)
 
 
@@ -167,7 +162,6 @@ def squared_errors(psd, interpolator_kind, T, N, t_eval, realizations, seed,
 
 def _node_predictor(psd, kind, T, N, t_eval):
     """Precompute a map from node samples to the estimate at t_eval."""
-    nodes = np.arange(-N, N + 1) * T
     if kind == "shannon":
         row = np.sinc(t_eval / T - np.arange(-N, N + 1))
         return lambda x: row @ x
@@ -176,8 +170,9 @@ def _node_predictor(psd, kind, T, N, t_eval):
     else:
         kern = psd.matched_kernel()
     gram = build_gram(kern, T, N)
-    psi_vec = psi_closed_form(kern, t_eval - nodes)
-    return lambda x: psi_vec @ cho_solve(gram.cholesky, x)
+    factor = gram.factor()
+    psi_vec = psi_closed_form(kern, t_eval - gram.times)
+    return lambda x: psi_vec @ cho_solve(factor, x)
 
 
 def _synthesis_weights(psd, nfreq):

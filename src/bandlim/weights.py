@@ -2,11 +2,11 @@
 
 A weight function W is represented through its reciprocal
 
-    G(omega) = sum_m d_m beta_K(omega / (2 A) - m) + alpha beta_0(omega / (4 pi B))
+    G(omega) = sum_m d_m beta_K(omega / (2 A) - m) + alpha
 
 on the angular-frequency band ``[-2 pi B, 2 pi B]``, with 2M+1 translated
 degree-K splines at spacing ``A = 2 pi B / (K + 2M + 1)`` plus a full-band
-rectangle of height ``alpha`` that keeps G strictly positive. Coefficients
+floor ``alpha`` that keeps G strictly positive. Coefficients
 are real and symmetric (``d[-m] == d[m]``), which makes the time-domain
 kernel real and even.
 """
@@ -31,6 +31,10 @@ class WeightFitError(RuntimeError):
     """Least-squares weight fit produced a nonpositive reciprocal weight."""
 
 
+class NonPositiveWeightError(ValueError):
+    """Reciprocal weight of a spec is not strictly positive on the band."""
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     """B-spline parameterization of a reciprocal frequency weight.
@@ -46,7 +50,7 @@ class WeightSpec:
     coeffs_d : ndarray
         Real symmetric coefficients for m = -M..M, stored at offsets 0..2M.
     floor_alpha : float
-        Coefficient of the full-band rectangle term, >= 0.
+        Full-band floor added to the spline sum, >= 0.
     """
 
     bandwidth_B: float
@@ -74,11 +78,13 @@ class WeightSpec:
             raise ValueError("coeffs_d must be symmetric: d[-m] == d[m]")
         d.setflags(write=False)
         object.__setattr__(self, "coeffs_d", d)
-        lo, hi = self.reciprocal_range()
+        grid = self.validation_grid()
+        g = inverse_weight_eval(self, grid)
+        lo, hi = float(np.min(g)), float(np.max(g))
         if not lo > POSITIVITY_RTOL * hi:
-            raise ValueError(
-                "reciprocal weight is not strictly positive on the band "
-                f"(min {lo:.3e} vs max {hi:.3e})")
+            raise NonPositiveWeightError(
+                "reciprocal weight is not strictly positive on the band near "
+                f"omega = {grid[np.argmin(g)]:.6g} (min {lo:.3e} vs max {hi:.3e})")
 
     @property
     def spacing_A(self):
@@ -177,6 +183,9 @@ class DensityGrid:
             for row in reader:
                 if not row:
                     continue
+                if len(row) < 2:
+                    raise ValueError(f"{path} line {reader.line_num}: expected "
+                                     f"(omega, value), got {row!r}")
                 omegas.append(float(row[0]))
                 values.append(float(row[1]))
         return cls(np.asarray(omegas), np.asarray(values))
@@ -211,7 +220,7 @@ def power_transform(p, eps):
 
 
 def inverse_weight_eval(spec, omega):
-    """Reciprocal weight G(omega) = 1/W(omega) for in-band frequencies.
+    """Reciprocal weight G(omega) = 1/W(omega) on the closed band.
 
     Raises
     ------
@@ -224,11 +233,8 @@ def inverse_weight_eval(spec, omega):
     if np.any(np.abs(omega) > edge * (1 + 1e-15)):
         worst = float(np.max(np.abs(omega)))
         raise BandError(f"|omega| = {worst:.6g} outside band edge {edge:.6g}")
-    total = _spline_mix(spec.degree_K, spec.half_count_M, spec.coeffs_d,
-                        omega / (2.0 * spec.spacing_A))
-    if spec.floor_alpha != 0.0:
-        total = total + spec.floor_alpha * bspline_eval(0, omega / (2.0 * edge))
-    return total
+    return _spline_mix(spec.degree_K, spec.half_count_M, spec.coeffs_d,
+                       omega / (2.0 * spec.spacing_A)) + spec.floor_alpha
 
 
 def _spline_mix(degree_K, half_count_M, coeffs, x):
@@ -250,9 +256,9 @@ def fit_weights(target, bandwidth_B, degree_K, half_count_M,
                 floor_alpha=None, transform=None):
     """Fit symmetric spline coefficients to a transformed target density.
 
-    Ordinary least squares matches ``G(omega) approx theta(Z(omega)) -
-    alpha * rect`` at the grid nodes, then symmetrizes the coefficient
-    vector and validates strict positivity of the result.
+    Ordinary least squares matches the spline sum to ``theta(Z(omega)) -
+    alpha`` at the grid nodes, then symmetrizes the coefficient vector and
+    validates strict positivity of the result.
 
     Parameters
     ----------
@@ -278,6 +284,8 @@ def fit_weights(target, bandwidth_B, degree_K, half_count_M,
     edge = 2.0 * np.pi * bandwidth_B
     if np.any(np.abs(target.omegas) > edge * (1 + 1e-12)):
         raise BandError("density grid extends beyond the band edge")
+    if half_count_M < 0:
+        raise ValueError(f"half_count_M must be >= 0, got {half_count_M}")
     n_basis = 2 * half_count_M + 1
     if target.omegas.size < n_basis:
         raise ValueError(
@@ -291,12 +299,14 @@ def fit_weights(target, bandwidth_B, degree_K, half_count_M,
     x = target.omegas / (2.0 * spacing)
     ms = np.arange(-half_count_M, half_count_M + 1)
     design = np.stack([bspline_eval(degree_K, x - m) for m in ms], axis=1)
-    rhs = y - floor_alpha * bspline_eval(0, target.omegas / (2.0 * edge))
-    d, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    d, *_ = np.linalg.lstsq(design, y - floor_alpha, rcond=None)
     d = 0.5 * (d + d[::-1])
 
-    _validate_positive(bandwidth_B, degree_K, half_count_M, d, floor_alpha)
-    return WeightSpec(bandwidth_B, degree_K, half_count_M, d, floor_alpha)
+    try:
+        return WeightSpec(bandwidth_B, degree_K, half_count_M, d, floor_alpha)
+    except NonPositiveWeightError as exc:
+        raise WeightFitError(
+            f"fitted {exc}; raise floor_alpha or smooth the target") from None
 
 
 def weights_from_density(density, bandwidth_B, kind="psd",
@@ -348,17 +358,3 @@ def normalized(spec):
     _, peak = spec.reciprocal_range()
     return WeightSpec(spec.bandwidth_B, spec.degree_K, spec.half_count_M,
                       spec.coeffs_d / peak, spec.floor_alpha / peak)
-
-
-def _validate_positive(bandwidth_B, degree_K, half_count_M, d, alpha):
-    edge = 2.0 * np.pi * bandwidth_B
-    grid = np.linspace(-edge, edge, VALIDATION_GRID_SIZE + 2)[1:-1]
-    spacing = edge / (degree_K + 2 * half_count_M + 1)
-    g = _spline_mix(degree_K, half_count_M, d, grid / (2.0 * spacing)) + alpha
-    floor = POSITIVITY_RTOL * float(np.max(g))
-    bad = g <= floor
-    if np.any(bad):
-        worst = grid[bad][int(np.argmin(g[bad]))]
-        raise WeightFitError(
-            f"fitted reciprocal weight is nonpositive near omega = {worst:.6g} "
-            f"(min {float(np.min(g)):.3e}); raise floor_alpha or smooth the target")

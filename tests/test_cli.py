@@ -196,6 +196,28 @@ class TestBoundsCommand:
         assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("command,overrides", [
+    ("compare", {"bandwidth_hz": 0}),
+    ("mc", {"bandwidth_hz": 0}),
+    ("compare", {"bandwidth_hz": -1}),
+    ("compare", {"half_count_n": -1}),
+    ("kernel", {"weights": {"matched": {"degree_k": -1}}}),
+    ("fit", {"fit": {"density_csv": "density.csv", "half_count_m": -1}}),
+    ("fit", {"fit": {"density_csv": "density.csv", "floor_alpha": -1.0}}),
+])
+def test_invalid_values_are_config_errors(tmp_path, capsys, command, overrides):
+    om = np.linspace(-2 * np.pi, 2 * np.pi, 201)
+    (tmp_path / "density.csv").write_text(
+        "omega,value\n" + "".join(f"{o!r},1.0\n" for o in om.tolist()))
+    cfg = write_config(tmp_path, ball_radius=10.0, mc={"realizations": 4},
+                       **overrides)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(cfg), "--output-dir", str(out),
+                    "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists() or not list(out.iterdir())
+
+
 class TestMCCommand:
     def test_fixed_seed_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, mc={"realizations": 60, "eval_time_s": 0.5})

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from bandlim import (Kernel, NotPositiveDefiniteError, SampleSet,
+from bandlim import (Kernel, NotPositiveDefiniteError, PSDModel, SampleSet,
                      adaptive_simpson, build_gram, cardinal, cardinal_coeffs,
-                     evaluate, inverse_weight_eval, node_residual, sample_signal,
-                     shift_invariant_approx, solve, truncated_shannon, wnorm_sq)
+                     evaluate, inverse_weight_eval, node_residual, power_function,
+                     sample_signal, shift_invariant_approx, solve, squared_errors,
+                     truncated_shannon, wnorm_sq)
 B = 1.0
 
 # Pinned at build time: largest deviation of the center-cardinal
@@ -46,6 +47,12 @@ class TestSampleSet:
         s = SampleSet.from_csv(cplx, spacing_T=0.25)
         assert s.value(-1) == 1 + 2j
 
+    def test_csv_short_row_rejected(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("n,value\n-1,1.0\n0\n1,2.0\n")
+        with pytest.raises(ValueError, match="line 3"):
+            SampleSet.from_csv(bad, spacing_T=0.25)
+
     def test_csv_gap_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("n,value\n-1,1.0\n1,2.0\n")
@@ -71,27 +78,51 @@ class TestBuildGram:
         # oversampling makes the system progressively ill-conditioned
         conds = []
         for ratio in (0.9, 0.7, 0.5):
-            gram = build_gram(lowpass_kernel, ratio / (2 * B), 10,
-                              require_pd=False)
+            gram = build_gram(lowpass_kernel, ratio / (2 * B), 10)
             conds.append(gram.condition_estimate)
         assert conds[0] < conds[1] < conds[2]
 
     def test_not_positive_definite_surfaced(self):
         # heavy oversampling drives eigenvalues below machine zero
-        kernel = Kernel.uniform(B)
+        gram = build_gram(Kernel.uniform(B), 0.3 / (2 * B), 15)
         with pytest.raises(NotPositiveDefiniteError) as exc_info:
-            build_gram(kernel, 0.3 / (2 * B), 15)
+            gram.factor()
         assert exc_info.value.condition_estimate > 1e12
 
-    def test_require_pd_false_allows_ridge_retry(self):
+    def test_unfactored_gram_allows_ridge_retry(self):
         kernel = Kernel.uniform(B)
-        gram = build_gram(kernel, 0.3 / (2 * B), 15, require_pd=False)
+        gram = build_gram(kernel, 0.3 / (2 * B), 15)
         assert gram.cholesky is None
         samples = SampleSet(0.3 / (2 * B), np.ones(31))
         with pytest.raises(NotPositiveDefiniteError):
             solve(gram, samples, ridge_sigma2=0.0)
         interp = solve(gram, samples, ridge_sigma2=1e-6)
         assert np.all(np.isfinite(interp.coeffs_c))
+
+
+# Heavy oversampling: the uniform Gram matrix at this T and N does not factor.
+# squared_errors builds its own Gram from the PSD; for the flat unit PSD both
+# the matched and the uniform kernel give this same matrix.
+DENSE_T, DENSE_N = 0.3 / (2 * B), 15
+FACTOR_USES = {
+    "solve": lambda gram: solve(gram, SampleSet(DENSE_T, np.ones(2 * DENSE_N + 1))),
+    "cardinal": lambda gram: cardinal(gram, 0, [0.1]),
+    "power_function": lambda gram: power_function(gram, [0.1]),
+    "squared_errors_matched": lambda gram: squared_errors(
+        PSDModel.uniform(B, 1.0), "matched_weight", DENSE_T, DENSE_N, 0.1, 2, 1),
+    "squared_errors_uniform": lambda gram: squared_errors(
+        PSDModel.uniform(B, 1.0), "uniform_weight", DENSE_T, DENSE_N, 0.1, 2, 1),
+}
+
+
+@pytest.mark.parametrize("use", sorted(FACTOR_USES))
+def test_unfactored_gram_raises_at_first_use(use):
+    gram = build_gram(Kernel.uniform(B), DENSE_T, DENSE_N)
+    with pytest.raises(NotPositiveDefiniteError, match="ridge_sigma2 > 0") as info:
+        FACTOR_USES[use](gram)
+    assert info.value.condition_estimate > 1e12
+    samples = SampleSet(DENSE_T, np.ones(2 * DENSE_N + 1))
+    assert np.all(np.isfinite(solve(gram, samples, ridge_sigma2=1e-6).coeffs_c))
 
 
 class TestSolve:

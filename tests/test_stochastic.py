@@ -7,6 +7,7 @@ from bandlim import (DensityGrid, NotPositiveDefiniteError, PSDModel, SampleSet,
                      sample_signal, solve, squared_errors, synthesize_process,
                      truncated_shannon)
 from bandlim.signals import spectral_density_grid
+from bandlim.stochastic import SYNTHESIS_GRID_SIZE
 from conftest import tabulated_transform_reference
 
 B = 1.0
@@ -38,6 +39,16 @@ class TestPSDModel:
         np.testing.assert_array_equal(lowpass_psd.values(om),
                                       inverse_weight_eval(lowpass_spec, om))
         assert PSDModel.uniform(B, 2.5).values(om)[0] == 2.5
+
+    def test_values_are_bitwise_the_density(self, lowpass_spec, tabulated_psd):
+        # on the synthesis midpoint grid each variant reads exactly its source
+        om = (np.arange(SYNTHESIS_GRID_SIZE) + 0.5) * (2 * np.pi * B / SYNTHESIS_GRID_SIZE)
+        grid = tabulated_psd.grid
+        pairs = [(PSDModel.from_weight_spec(lowpass_spec), inverse_weight_eval(lowpass_spec, om)),
+                 (tabulated_psd, np.interp(om, grid.omegas, grid.values)),
+                 (PSDModel.uniform(B, 0.7), np.full(om.shape, 0.7))]
+        for psd, expected in pairs:
+            assert psd.values(om).tobytes() == expected.tobytes()
 
 
 class TestAutocorrelation:

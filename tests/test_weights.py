@@ -7,6 +7,7 @@ from bandlim import (BandError, DensityGrid, WeightFitError, WeightSpec,
                      bspline_eval, fit_weights, gaussian_smooth,
                      identity_transform, inverse_weight_eval, normalized,
                      power_transform, weights_from_density)
+from bandlim.weights import _spline_mix
 from conftest import random_weight_spec
 
 B = 1.0
@@ -32,6 +33,13 @@ class TestWeightSpec:
     def test_positivity_enforced(self):
         with pytest.raises(ValueError, match="positive"):
             WeightSpec(B, 3, 1, np.array([-1.0, -1.0, -1.0]), 0.0)
+
+    def test_positivity_failure_names_worst_frequency(self):
+        # the negative center spline makes G dip lowest at the grid points
+        # nearest omega = 0 (the 4096-point grid straddles the origin)
+        d = np.array([1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match=r"positive on the band near omega = -?0\.00153"):
+            WeightSpec(B, 3, 1, d, 0.1)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="length"):
@@ -78,6 +86,18 @@ class TestInverseWeightEval:
         expected += spec.floor_alpha * bspline_eval(0, om / (2 * spec.band_edge))
         np.testing.assert_allclose(inverse_weight_eval(spec, om), expected,
                                    rtol=1e-13)
+
+    def test_band_edge_is_spline_mix_plus_floor(self):
+        # the floor is alpha on the closed band, so G is continuous at +-2piB
+        spec = random_weight_spec(5)
+        edges = np.array([-spec.band_edge, spec.band_edge])
+        mix = _spline_mix(spec.degree_K, spec.half_count_M, spec.coeffs_d,
+                          edges / (2 * spec.spacing_A))
+        np.testing.assert_array_equal(inverse_weight_eval(spec, edges),
+                                      mix + spec.floor_alpha)
+        np.testing.assert_allclose(inverse_weight_eval(spec, edges),
+                                   inverse_weight_eval(spec, edges * (1 - 1e-12)),
+                                   rtol=1e-9)
 
     def test_out_of_band_rejected(self):
         spec = random_weight_spec(2)
@@ -158,6 +178,13 @@ class TestFitWeights:
         with pytest.raises(WeightFitError, match="omega"):
             fit_weights(DensityGrid(om, z), B, 3, 11, floor_alpha=0.0)
 
+    def test_negative_floor_is_not_a_fit_failure(self):
+        # only the positivity check becomes WeightFitError; the spec checks
+        # floor_alpha before positivity
+        grid = DensityGrid(band_grid(), np.ones(513))
+        with pytest.raises(ValueError, match="floor_alpha"):
+            fit_weights(grid, B, 3, 11, floor_alpha=-0.5)
+
     def test_too_few_nodes_rejected(self):
         grid = DensityGrid(np.linspace(-1, 1, 5), np.ones(5))
         with pytest.raises(ValueError, match="nodes"):
@@ -209,6 +236,12 @@ class TestDensityGrid:
         loaded = DensityGrid.from_csv(path)
         np.testing.assert_array_equal(loaded.omegas, grid.omegas)
         np.testing.assert_array_equal(loaded.values, grid.values)
+
+    def test_csv_short_row_rejected(self, tmp_path):
+        path = tmp_path / "density.csv"
+        path.write_text("omega,value\n-1,0.5\n0\n1,0.5\n")
+        with pytest.raises(ValueError, match="line 3"):
+            DensityGrid.from_csv(path)
 
 
 def test_gaussian_smooth_preserves_mass_and_spreads():
