@@ -5,11 +5,16 @@ For each config in scripts/configs/, emits the kernel and cardinal curves,
 the three-way interpolation comparison with its error summary, the pointwise
 error bound, and (for the half-rate configs) the Monte-Carlo MSE table.
 Everything is seeded, so reruns reproduce the same files.
+
+Each command runs in this process through ``bandlim.cli.main``, exactly as
+``python -m bandlim.cli <command> ...`` would, so the library is imported
+once; the first command that fails ends the run with its exit code.
 """
 
-import subprocess
 import sys
 from pathlib import Path
+
+from bandlim.cli import main as cli_main
 
 HERE = Path(__file__).resolve().parent
 CONFIGS = sorted((HERE / "configs").glob("*.json"))
@@ -17,12 +22,13 @@ RESULTS = HERE.parent / "results"
 
 
 def run(command, config, outdir):
-    cmd = [sys.executable, "-m", "bandlim.cli", command,
-           "--config", str(config), "--output-dir", str(outdir)]
-    print("$", " ".join(cmd[2:]))
-    proc = subprocess.run(cmd)
-    if proc.returncode != 0:
-        sys.exit(proc.returncode)
+    args = [command, "--config", str(config), "--output-dir", str(outdir)]
+    print("$", "bandlim.cli", " ".join(args), flush=True)
+    try:
+        cli_main(args)
+    except SystemExit as exc:
+        if exc.code:
+            sys.exit(exc.code)
 
 
 def main():

@@ -20,7 +20,6 @@ from .bounds import InfeasibleBallError, NegativePowerError, \
 from .interpolate import NotPositiveDefiniteError, build_gram, cardinal, \
     evaluate, solve, truncated_shannon
 from .kernel import Kernel, psi_closed_form, shannon_kernel
-from .quadrature import QuadratureError
 from .signals import AnalyticSignal, eval_signal, matched_weights, sample_signal
 from .stochastic import MSE_KINDS, PSDModel, squared_errors
 from .weights import DensityGrid, WeightFitError, WeightSpec, fit_weights, \
@@ -44,7 +43,7 @@ def main(argv=None):
     try:
         cli.main(args=argv, standalone_mode=False)
     except (NotPositiveDefiniteError, InfeasibleBallError, NegativePowerError,
-            QuadratureError, WeightFitError, np.linalg.LinAlgError) as exc:
+            WeightFitError, np.linalg.LinAlgError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
     except (ValueError, click.UsageError, click.BadParameter) as exc:
@@ -322,13 +321,16 @@ def _weight_spec_from_config(cfg, bandwidth):
     elif key == "matched":
         opts = value or {}
         sig = _signal_from_config(cfg, bandwidth)
-        spec = matched_weights(
-            sig,
-            degree_K=int(opts.get("degree_k", 3)),
-            half_count_M=int(opts.get("half_count_m", 11)),
-            smoothing_scale=float(opts.get("smoothing_scale", 2.0)),
-            power_p=float(opts.get("power_p", 3.0)),
-            power_eps=float(opts.get("power_eps", 1e-6)))
+        try:
+            spec = matched_weights(
+                sig,
+                degree_K=int(opts.get("degree_k", 3)),
+                half_count_M=int(opts.get("half_count_m", 11)),
+                smoothing_scale=float(opts.get("smoothing_scale", 2.0)),
+                power_p=float(opts.get("power_p", 3.0)),
+                power_eps=float(opts.get("power_eps", 1e-6)))
+        except ValueError as exc:
+            raise ConfigError(f"matched weights invalid: {exc}") from exc
     else:
         raise ConfigError(f"unknown weights source {key!r}")
     if spec.bandwidth_B != bandwidth:

@@ -200,7 +200,8 @@ def solve(gram, samples, ridge_sigma2=0.0):
 
 def evaluate(interp, t):
     """Evaluate the kernel expansion sum_n c_n psi(t - n T) at ``t``."""
-    return _expand(interp.gram.kernel, interp.gram.times, interp.coeffs_c, t)
+    gram = interp.gram
+    return _expand(gram.kernel, gram.spacing_T, gram.half_count_N, interp.coeffs_c, t)
 
 
 def cardinal_coeffs(gram, n):
@@ -215,7 +216,8 @@ def cardinal_coeffs(gram, n):
 
 def cardinal(gram, n, t):
     """Cardinal interpolation function u_n(t), satisfying u_n(mT) = delta[n-m]."""
-    return _expand(gram.kernel, gram.times, cardinal_coeffs(gram, n), t)
+    return _expand(gram.kernel, gram.spacing_T, gram.half_count_N,
+                   cardinal_coeffs(gram, n), t)
 
 
 def shift_invariant_approx(gram, samples, t):
@@ -231,14 +233,68 @@ def shift_invariant_approx(gram, samples, t):
         raise ValueError("sample count mismatch with the Gram system")
     N = gram.half_count_N
     coeffs = np.convolve(samples.values, cardinal_coeffs(gram, 0))
-    nodes = np.arange(-2 * N, 2 * N + 1) * gram.spacing_T
-    return _expand(gram.kernel, nodes, coeffs, t)
+    return _expand(gram.kernel, gram.spacing_T, 2 * N, coeffs, t)
 
 
-def _expand(kernel, nodes, coeffs, t):
-    # sum_n coeffs[n] psi(t - nodes[n]), broadcast over the shape of t
+def _expand(kernel, T, N, coeffs, t):
+    """sum_n coeffs[n] psi(t - nT) over n = -N..N, broadcast over the shape of t.
+
+    The kernel matrix comes from `_kernel_matrix`: one psi table per residue
+    class of t mod T when the points share residues (a grid whose step
+    divides a multiple of T), else the direct entry-by-entry evaluation.
+    """
+    return _kernel_matrix(kernel, t, T, N) @ coeffs
+
+
+def _kernel_matrix(kernel, t, T, N):
+    """psi(t_j - nT) for n = -N..N, with shape ``t.shape + (2N+1,)``.
+
+    Every t_j is split as m_j T + r_j with m_j = floor(t_j / T), so that
+    t_j - nT = r_j + (m_j - n) T. Points whose residues agree to within a
+    few ulps of max|t| + T (no more than the rounding ``t - nT`` carries
+    anyway) form one class, which needs psi(r + kT) only on one contiguous
+    run of k; each row is then a window of that run. When the runs would
+    hold as many values as the matrix itself (no two points share a residue,
+    as for random points), the matrix is evaluated entry by entry.
+    """
     t = np.asarray(t, dtype=float)
-    return psi_closed_form(kernel, t[..., None] - nodes) @ coeffs
+    width = 2 * N + 1
+    flat = t.ravel()
+    if flat.size > 1 and np.all(np.isfinite(flat)):
+        tol = 4.0 * np.spacing(np.max(np.abs(flat)) + T)
+        m = np.floor(flat / T)
+        r = flat - m * T
+        # a residue just below T is the class of residue 0, one period on
+        wrap = r > T - tol
+        r[wrap] -= T
+        m[wrap] += 1.0
+        order = np.argsort(r)
+        r_sorted = r[order]
+        new_class = np.diff(r_sorted, prepend=-np.inf) > tol
+        heads = np.flatnonzero(new_class)
+        tails = np.append(heads[1:], flat.size) - 1
+        m_sorted = m[order]
+        lo = np.minimum.reduceat(m_sorted, heads)
+        hi = np.maximum.reduceat(m_sorted, heads)
+        lengths = hi - lo + width
+        if (np.all(r_sorted[tails] - r_sorted[heads] <= tol)
+                and np.sum(lengths) < flat.size * width):
+            # Class c's run holds psi(r_c + kT) for k = hi_c + N down to
+            # lo_c - N, so row j of the class starts (hi_c - m_j) into it.
+            lengths = lengths.astype(np.intp)
+            starts = np.cumsum(lengths) - lengths
+            k = np.repeat(hi + N + starts, lengths)
+            k -= np.arange(k.size)
+            k *= T
+            k += np.repeat(r_sorted[heads], lengths)
+            table = psi_closed_form(kernel, k)
+            cls = np.empty(flat.size, dtype=np.intp)
+            cls[order] = np.cumsum(new_class) - 1
+            rows = (starts[cls] + (hi[cls] - m)).astype(np.intp)
+            windows = np.lib.stride_tricks.sliding_window_view(table, width)
+            return windows[rows].reshape(t.shape + (width,))
+    nodes = np.arange(-N, N + 1) * T
+    return psi_closed_form(kernel, t[..., None] - nodes)
 
 
 def truncated_shannon(samples, t):

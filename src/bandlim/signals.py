@@ -14,7 +14,8 @@ import numpy as np
 
 from .interpolate import SampleSet
 from .kernel import Kernel, psi_closed_form
-from .weights import DensityGrid, fit_weights, gaussian_smooth, normalized, power_transform
+from .weights import DensityGrid, fit_weights, gaussian_smooth, normalized, \
+    power_transform, spline_spacing
 
 NAMED_KINDS = ("lowfreq", "highfreq")
 MODULATION_RATE = 1.7  # times pi*B, keeping the narrow spectrum in-band
@@ -125,8 +126,8 @@ def matched_weights(sig, degree_K=3, half_count_M=11, smoothing_scale=2.0,
     Narrower smoothing risks a nonpositive fit, wider smoothing dilutes the
     prior.
     """
+    spacing = spline_spacing(sig.bandwidth_B, degree_K, half_count_M)
     grid = spectral_density_grid(sig)
-    spacing = 2.0 * np.pi * sig.bandwidth_B / (degree_K + 2 * half_count_M + 1)
     smoothed = gaussian_smooth(grid, smoothing_scale * spacing)
     spec = fit_weights(smoothed, sig.bandwidth_B, degree_K, half_count_M,
                        transform=power_transform(power_p, power_eps))

@@ -15,7 +15,7 @@ realization k of a run seeded with s draws from ``default_rng([s, k])``, so
 results are reproducible for a fixed seed schedule.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -41,6 +41,7 @@ class PSDModel:
     spec: WeightSpec | None = None
     grid: DensityGrid | None = None
     uniform_level: float | None = None
+    _kernel: Kernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sources = sum(x is not None for x in (self.spec, self.grid, self.uniform_level))
@@ -54,6 +55,7 @@ class PSDModel:
             raise ValueError("uniform_level must be positive")
         if self.grid is not None and np.min(self.grid.values) <= 0:
             raise ValueError("grid density must be bounded away from zero in-band")
+        object.__setattr__(self, "_kernel", self._build_kernel())
 
     @classmethod
     def uniform(cls, bandwidth_B, level):
@@ -73,7 +75,10 @@ class PSDModel:
         return self.matched_kernel().reciprocal(omegas)
 
     def matched_kernel(self):
-        """Interpolation kernel whose weights satisfy W = 1/S."""
+        """Interpolation kernel whose weights satisfy W = 1/S (built once per model)."""
+        return self._kernel
+
+    def _build_kernel(self):
         if self.spec is not None:
             return Kernel.from_spec(self.spec)
         if self.uniform_level is not None:

@@ -62,8 +62,7 @@ class WeightSpec:
     def __post_init__(self):
         if self.bandwidth_B <= 0:
             raise ValueError(f"bandwidth_B must be positive, got {self.bandwidth_B}")
-        if self.degree_K < 0 or self.half_count_M < 0:
-            raise ValueError("degree_K and half_count_M must be nonnegative")
+        spline_spacing(self.bandwidth_B, self.degree_K, self.half_count_M)
         if self.floor_alpha < 0:
             raise ValueError(f"floor_alpha must be >= 0, got {self.floor_alpha}")
         d = np.atleast_1d(np.asarray(self.coeffs_d, dtype=float))
@@ -89,7 +88,7 @@ class WeightSpec:
     @property
     def spacing_A(self):
         """Spline spacing in angular frequency: 2 pi B / (K + 2M + 1)."""
-        return 2.0 * np.pi * self.bandwidth_B / (self.degree_K + 2 * self.half_count_M + 1)
+        return spline_spacing(self.bandwidth_B, self.degree_K, self.half_count_M)
 
     @property
     def band_edge(self):
@@ -198,6 +197,18 @@ class DensityGrid:
                 writer.writerow([f"{om:.17g}", f"{va:.17g}"])
 
 
+def spline_spacing(bandwidth_B, degree_K, half_count_M):
+    """Spline spacing A = 2 pi B / (K + 2M + 1) in angular frequency.
+
+    Validates the basis size first, so a bad K or M is reported by name.
+    """
+    if degree_K < 0:
+        raise ValueError(f"degree_K must be >= 0, got {degree_K}")
+    if half_count_M < 0:
+        raise ValueError(f"half_count_M must be >= 0, got {half_count_M}")
+    return 2.0 * np.pi * bandwidth_B / (degree_K + 2 * half_count_M + 1)
+
+
 def identity_transform(tau):
     """Default density transform: pass the target density through unchanged."""
     return np.asarray(tau, dtype=float)
@@ -281,11 +292,10 @@ def fit_weights(target, bandwidth_B, degree_K, half_count_M,
         validation grid (the offending frequency is reported).
     """
     theta = transform if transform is not None else identity_transform
+    spacing = spline_spacing(bandwidth_B, degree_K, half_count_M)
     edge = 2.0 * np.pi * bandwidth_B
     if np.any(np.abs(target.omegas) > edge * (1 + 1e-12)):
         raise BandError("density grid extends beyond the band edge")
-    if half_count_M < 0:
-        raise ValueError(f"half_count_M must be >= 0, got {half_count_M}")
     n_basis = 2 * half_count_M + 1
     if target.omegas.size < n_basis:
         raise ValueError(
@@ -295,7 +305,6 @@ def fit_weights(target, bandwidth_B, degree_K, half_count_M,
     y = theta(target.values)
     if floor_alpha is None:
         floor_alpha = 1e-3 * float(np.max(y))
-    spacing = edge / (degree_K + 2 * half_count_M + 1)
     x = target.omegas / (2.0 * spacing)
     ms = np.arange(-half_count_M, half_count_M + 1)
     design = np.stack([bspline_eval(degree_K, x - m) for m in ms], axis=1)

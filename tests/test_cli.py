@@ -218,6 +218,17 @@ def test_invalid_values_are_config_errors(tmp_path, capsys, command, overrides):
     assert not out.exists() or not list(out.iterdir())
 
 
+def test_negative_matched_half_count_names_the_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, weights={"matched": {"half_count_m": -1}})
+    out = tmp_path / "out"
+    assert run_cli(["kernel", "--config", str(cfg), "--output-dir", str(out),
+                    "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: matched weights invalid:")
+    assert "half_count_M must be >= 0, got -1" in err
+    assert not out.exists() or not list(out.iterdir())
+
+
 class TestMCCommand:
     def test_fixed_seed_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, mc={"realizations": 60, "eval_time_s": 0.5})

@@ -1,11 +1,20 @@
+from contextlib import contextmanager
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.linalg import cho_solve
 
-from bandlim import (Kernel, NotPositiveDefiniteError, PSDModel, SampleSet,
+import bandlim.interpolate as interpolate_module
+from bandlim import (DensityGrid, Kernel, NotPositiveDefiniteError, PSDModel, SampleSet,
                      adaptive_simpson, build_gram, cardinal, cardinal_coeffs,
                      evaluate, inverse_weight_eval, node_residual, power_function,
-                     sample_signal, shift_invariant_approx, solve, squared_errors,
-                     truncated_shannon, wnorm_sq)
+                     psi_closed_form, sample_signal, shift_invariant_approx, solve,
+                     squared_errors, truncated_shannon, wnorm_sq)
+from bandlim.interpolate import _kernel_matrix
+from conftest import random_weight_spec
 B = 1.0
 
 # Pinned at build time: largest deviation of the center-cardinal
@@ -362,3 +371,157 @@ class TestRidge:
             residuals.append(np.linalg.norm(resid))
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
         assert all(a < b for a, b in zip(residuals, residuals[1:]))
+
+
+# --- kernel matrices from residue classes of t mod T -------------------------
+#
+# `_kernel_matrix` against the dense reference psi(t[..., None] - nodes). Off
+# the lattice it must take that very path (bit-identical). On it, each entry's
+# argument may differ from t - nT by a few ulps of the largest argument, so the
+# tolerance is 8 ulps of max|psi| times (1 + 2 pi B max|t - nT|): Bernstein's
+# bound |psi'| <= 2 pi B max|psi| turns argument ulps into ulps of max|psi|.
+# (Over 3000 random lattice cases the largest deviation was 2.4 of these units.)
+
+TOL_ULPS = 8.0
+
+
+def dense_kernel_matrix(kernel, t, T, N):
+    return psi_closed_form(kernel, t[..., None] - np.arange(-N, N + 1) * T)
+
+
+def lattice_tolerance(kernel, t, T, N, dense):
+    # max|t - nT| over n = -N..N is max|t| + NT
+    return TOL_ULPS * np.finfo(float).eps * np.max(np.abs(dense)) * (
+        1.0 + 2.0 * np.pi * kernel.bandwidth_B * (np.max(np.abs(t)) + N * T))
+
+
+@contextmanager
+def counted_psi():
+    """Count the psi entries `_kernel_matrix` evaluates."""
+    counts = []
+
+    def counting(kernel, t):
+        counts.append(np.size(t))
+        return psi_closed_form(kernel, t)
+
+    with patch.object(interpolate_module, "psi_closed_form", counting):
+        yield counts
+
+
+@st.composite
+def matrix_kernels(draw):
+    """A spec, grid or uniform kernel at bandwidth 0.5, 1 or 2."""
+    seed = draw(st.integers(0, 10_000))
+    kind = draw(st.sampled_from(["spec", "grid", "uniform"]))
+    if kind == "spec":
+        return Kernel.from_spec(random_weight_spec(seed))
+    B = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    if kind == "uniform":
+        return Kernel.uniform(B)
+    rng = np.random.default_rng(seed)
+    omegas = np.unique(rng.uniform(-1.1, 1.1, 12)) * 2.0 * np.pi * B
+    return Kernel.from_grid(B, DensityGrid(omegas, rng.uniform(0.1, 3.0, omegas.size)))
+
+
+@st.composite
+def lattice_cases(draw):
+    """Kernel, T, N and a grid of step h with T/h = 40, 10 or 80/3 (as arange
+    or linspace), with some residue class holding two points or more, possibly
+    reshaped to 2-d and possibly with off-lattice points mixed in."""
+    kernel = draw(matrix_kernels())
+    B = kernel.bandwidth_B
+    T = draw(st.sampled_from([0.5, 0.75, 1.0])) / (2.0 * B)
+    N = draw(st.integers(0, 10))
+    classes, periods = draw(st.sampled_from([(40, 1), (10, 1), (80, 3)]))
+    h = T * periods / classes
+    count = draw(st.integers(classes + 2, 240))
+    start = draw(st.integers(-2 * count, count))
+    if draw(st.booleans()):
+        t = np.arange(start, start + count) * h
+    else:
+        t = np.linspace(start * h, (start + count - 1) * h, count)
+    # points one ulp either side of the multiples of T the grid holds
+    multiples = [k * periods // classes for k in range(start, start + count)
+                 if k % classes == 0]
+    extras = [np.nextafter(m * T, draw(st.sampled_from([-np.inf, np.inf])))
+              for m in draw(st.lists(st.sampled_from(multiples), max_size=3))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    extras += list(rng.uniform(-20.0, 20.0, draw(st.integers(0, 3))))
+    t = np.concatenate([t, extras])
+    if draw(st.booleans()) and t.size % 2 == 0:
+        t = t.reshape(2, -1)
+    return kernel, T, N, t
+
+
+off_lattice_times = arrays(float, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=12),
+                           elements=st.floats(-30.0, 30.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_cases())
+@example((Kernel.uniform(1.0), 1.0, 3,
+          np.concatenate([np.arange(-100, 100) * 0.025,
+                          [np.nextafter(2.0, 0.0), np.nextafter(2.0, 3.0),
+                           np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0)]])))
+def test_kernel_matrix_on_lattice(case):
+    kernel, T, N, t = case
+    with counted_psi() as counts:
+        value = _kernel_matrix(kernel, t, T, N)
+    assert value.shape == t.shape + (2 * N + 1,)
+    # A class of n points whose m spans s saves (n - 1)(2N + 1) - s values;
+    # s <= 3(n - 1) on the grid, the points next to its multiples of T only
+    # add to its class of residue 0 and random points are classes of their
+    # own, so from N = 2 on the tables are always smaller.
+    if N >= 2:
+        assert sum(counts) < value.size
+    dense = dense_kernel_matrix(kernel, t, T, N)
+    np.testing.assert_allclose(value, dense, rtol=0,
+                               atol=lattice_tolerance(kernel, t, T, N, dense))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_kernels(), st.sampled_from([0.3, 0.5, 1.0]), st.integers(0, 10),
+       off_lattice_times)
+@example(Kernel.uniform(1.0), 0.5, 2, np.array(0.25))
+@example(Kernel.uniform(1.0), 0.5, 2, np.zeros((0, 4)))
+def test_kernel_matrix_off_lattice_is_direct(kernel, T, N, t):
+    # Points that (almost surely) share no residue take the direct path.
+    if t.size > 1:
+        r = np.sort(np.mod(t.ravel(), T))
+        assume(np.all(np.diff(r) > 1e-9) and r[-1] - r[0] < T - 1e-9)
+    value = _kernel_matrix(kernel, t, T, N)
+    assert value.shape == t.shape + (2 * N + 1,)
+    np.testing.assert_array_equal(value, dense_kernel_matrix(kernel, t, T, N))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lattice_cases(), st.integers(0, 2**32 - 1))
+def test_expansions_match_dense_reference(case, seed):
+    kernel, T, N, t = case
+    gram = build_gram(kernel, T, N)
+    # the Cholesky-based estimate can read far below the true condition number
+    assume(np.linalg.cond(gram.dense) < 1e8)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(gram.size) + 1j * rng.standard_normal(gram.size)
+    interp = solve(gram, SampleSet(T, x))
+    dense = dense_kernel_matrix(kernel, t, T, N)
+    tol = lattice_tolerance(kernel, t, T, N, dense)
+
+    values = evaluate(interp, t)
+    assert np.iscomplexobj(values) and values.shape == t.shape
+    np.testing.assert_allclose(values, dense @ interp.coeffs_c, rtol=0,
+                               atol=tol * np.sum(np.abs(interp.coeffs_c)))
+
+    p0 = cardinal_coeffs(gram, 0)
+    np.testing.assert_allclose(cardinal(gram, 0, t), dense @ p0, rtol=0,
+                               atol=tol * np.sum(np.abs(p0)))
+
+    # P^2 = psi0 - 2 u.v + u.R u, perturbed by -2 u.dv to first order in the
+    # kernel row v and by rounding of the same order in the quadratic terms
+    tf = t.ravel()
+    v = dense.reshape(tf.size, -1).T
+    u = cho_solve(gram.factor(), v)
+    p2 = kernel.psi0 - 2.0 * np.sum(u * v, axis=0) + np.sum(u * (gram.dense @ u), axis=0)
+    u1 = np.sum(np.abs(u), axis=0)
+    np.testing.assert_allclose(power_function(gram, tf) ** 2, np.maximum(p2, 0.0),
+                               rtol=0, atol=tol * np.max((1.0 + u1) ** 2))

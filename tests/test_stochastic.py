@@ -51,6 +51,18 @@ class TestPSDModel:
             assert psd.values(om).tobytes() == expected.tobytes()
 
 
+    def test_matched_kernel_built_once(self, lowpass_spec, tabulated_psd):
+        for psd in (PSDModel.uniform(B, 0.7), PSDModel.from_weight_spec(lowpass_spec),
+                    tabulated_psd):
+            assert psd.matched_kernel() is psd.matched_kernel()
+        flat = PSDModel.uniform(B, 0.7)
+        kernel = flat.matched_kernel()
+        om = np.linspace(-3, 3, 7)
+        flat.values(om)
+        assert flat.matched_kernel() is kernel
+        assert flat == PSDModel.uniform(B, 0.7)
+
+
 class TestAutocorrelation:
     def test_uniform_critical_zeros_at_nonzero_nodes(self):
         T = 0.5

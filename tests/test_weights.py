@@ -7,6 +7,7 @@ from bandlim import (BandError, DensityGrid, WeightFitError, WeightSpec,
                      bspline_eval, fit_weights, gaussian_smooth,
                      identity_transform, inverse_weight_eval, normalized,
                      power_transform, weights_from_density)
+from bandlim.signals import AnalyticSignal, matched_weights
 from bandlim.weights import _spline_mix
 from conftest import random_weight_spec
 
@@ -264,3 +265,15 @@ def test_normalized_unit_peak():
 def test_identity_transform_passthrough():
     x = np.array([0.5, 2.0])
     np.testing.assert_array_equal(identity_transform(x), x)
+
+
+@pytest.mark.parametrize("build", [
+    lambda K, M: WeightSpec(B, K, M, np.ones(1), 0.1),
+    lambda K, M: fit_weights(DensityGrid(band_grid(), np.ones(513)), B, K, M),
+    lambda K, M: matched_weights(AnalyticSignal.lowfreq(B), degree_K=K, half_count_M=M),
+])
+def test_negative_basis_size_named_before_use(build):
+    with pytest.raises(ValueError, match="half_count_M must be >= 0, got -1"):
+        build(3, -1)
+    with pytest.raises(ValueError, match="degree_K must be >= 0, got -2"):
+        build(-2, 0)
