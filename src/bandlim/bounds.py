@@ -16,9 +16,8 @@ constructive worst case.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from .interpolate import _kernel_matrix, truncated_shannon, wnorm_sq
+from .interpolate import _cardinal_values, truncated_shannon, wnorm_sq
 
 POWER_CLAMP = 1e-12
 FEASIBILITY_RTOL = 1e-9
@@ -65,17 +64,13 @@ class MinimaxAdversary:
 def power_function(gram, t):
     """Power function P(t) >= 0 of the Gram system, zero at the nodes.
 
-    The kernel values psi(t_j - nT) come from `interpolate._kernel_matrix`:
-    one psi table per residue class of t mod T on a grid that shares
-    residues, else entry by entry. P^2 keeps the second-order form
-    ``psi0 - 2 u.v + u.R u``, whose terms cancel at the nodes.
+    The kernel values v[:, j] = psi(t_j - nT) and the cardinal values
+    u = R^{-1} v come from `interpolate._cardinal_values`. P^2 keeps the
+    second-order form ``psi0 - 2 u.v + u.R u``, whose terms cancel at the
+    nodes.
     """
-    factor = gram.factor()
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    u, v = _cardinal_values(gram, np.atleast_1d(np.asarray(t, dtype=float)))
     psi0 = gram.kernel.psi0
-    # v[:, j] holds psi(t_j - nT); the cardinal values are u = R^{-1} v.
-    v = _kernel_matrix(gram.kernel, t, gram.spacing_T, gram.half_count_N).T
-    u = cho_solve(factor, v)
     # u.v is formed row-major, so that the axis-0 sum adds it row by row
     p2 = (psi0 - 2.0 * np.sum(np.multiply(u, v, order="C"), axis=0)
           + np.sum(u * (gram.dense @ u), axis=0))

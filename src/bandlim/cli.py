@@ -80,7 +80,7 @@ def kernel(config_path, output_dir, seed, quiet):
     grid = _time_grid(cfg)
     kern = _kernel_from_config(cfg, B)
     psi = psi_closed_form(kern, grid)
-    ref = 2.0 * B * np.sinc(2.0 * B * grid)
+    ref = psi_closed_form(Kernel.uniform(B), grid)
     path = _output_path(output_dir, cfg, "csv", "kernel.csv")
     _write_csv(path, ["t", "psi", "psi_uniform_reference"], [grid, psi, ref])
     _note(quiet, f"wrote {path}")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.linalg.lapack import dpocon
 
 from .kernel import psi_closed_form, shannon_kernel
 
@@ -103,10 +104,8 @@ class GramMatrix:
 
     ``dense`` is the symmetric Toeplitz matrix psi((m - n) T). ``cholesky``
     holds its lower factor, or None when it is not numerically positive
-    definite; every use goes through `factor`, which then raises.
-    ``condition_estimate`` is the squared ratio of extreme Cholesky diagonal
-    entries (an estimate, not the spectral condition number), falling back
-    to an eigenvalue ratio when factorization fails.
+    definite; every use goes through `factor`, which then raises. The
+    condition estimate is computed only when read (`condition_estimate`).
     """
 
     kernel: object
@@ -114,7 +113,6 @@ class GramMatrix:
     half_count_N: int
     dense: np.ndarray
     cholesky: object
-    condition_estimate: float
 
     @property
     def size(self):
@@ -125,6 +123,16 @@ class GramMatrix:
         return np.arange(-self.half_count_N, self.half_count_N + 1) * self.spacing_T
 
     @property
+    def condition_estimate(self):
+        """1-norm estimate 1/rcond from the factor (LAPACK ``dpocon``), or
+        without a factor the ratio of extreme |eigenvalues| of ``dense``."""
+        if self.cholesky is not None:
+            rcond, _ = dpocon(self.cholesky[0], np.linalg.norm(self.dense, 1), uplo="L")
+            return float("inf") if rcond == 0.0 else 1.0 / rcond
+        eigs = np.abs(np.linalg.eigvalsh(self.dense))
+        return float("inf") if np.min(eigs) == 0.0 else float(np.max(eigs) / np.min(eigs))
+
+    @property
     def first_row(self):
         """psi(k T) for k = 0..2N, the Toeplitz generator (read-only)."""
         return self.dense[0]
@@ -132,11 +140,12 @@ class GramMatrix:
     def factor(self):
         """Cholesky factor for `cho_solve`, or `NotPositiveDefiniteError`."""
         if self.cholesky is None:
+            cond = self.condition_estimate
             raise NotPositiveDefiniteError(
                 "Gram matrix is not numerically positive definite at "
                 f"T={self.spacing_T!r}, N={self.half_count_N} (condition "
-                f"estimate {self.condition_estimate:.3e}); consider ridge_sigma2 > 0",
-                condition_estimate=self.condition_estimate)
+                f"estimate {cond:.3e}); consider ridge_sigma2 > 0",
+                condition_estimate=cond)
         return self.cholesky
 
 
@@ -163,14 +172,11 @@ def build_gram(kernel, T, N):
     dense = toeplitz(psi_closed_form(kernel, np.arange(2 * N + 1) * T))
     try:
         factor = cho_factor(dense, lower=True)
-        diag = np.diag(factor[0])
-        cond = float((np.max(diag) / np.min(diag)) ** 2)
     except np.linalg.LinAlgError:
         factor = None
-        cond = _eig_condition(dense)
     dense.setflags(write=False)
     return GramMatrix(kernel=kernel, spacing_T=T, half_count_N=N, dense=dense,
-                      cholesky=factor, condition_estimate=cond)
+                      cholesky=factor)
 
 
 def solve(gram, samples, ridge_sigma2=0.0):
@@ -234,6 +240,19 @@ def shift_invariant_approx(gram, samples, t):
     N = gram.half_count_N
     coeffs = np.convolve(samples.values, cardinal_coeffs(gram, 0))
     return _expand(gram.kernel, gram.spacing_T, 2 * N, coeffs, t)
+
+
+def _cardinal_values(gram, t):
+    """Kernel values v = psi(t - nT) and cardinals u = R^{-1} v, shape (2N+1,) + t.shape.
+
+    The factor comes first: a Gram that does not factor raises before any psi.
+    """
+    factor = gram.factor()
+    t = np.asarray(t, dtype=float)
+    v = np.moveaxis(_kernel_matrix(gram.kernel, t, gram.spacing_T, gram.half_count_N),
+                    -1, 0)
+    u = cho_solve(factor, v.reshape(gram.size, -1)).reshape(v.shape)
+    return u, v
 
 
 def _expand(kernel, T, N, coeffs, t):
@@ -334,11 +353,3 @@ def _cho_solve_any(factor, rhs):
     if np.iscomplexobj(rhs):
         return cho_solve(factor, rhs.real).astype(complex) + 1j * cho_solve(factor, rhs.imag)
     return cho_solve(factor, rhs)
-
-
-def _eig_condition(dense):
-    eigs = np.abs(np.linalg.eigvalsh(dense))
-    smallest = float(np.min(eigs))
-    if smallest == 0.0:
-        return float("inf")
-    return float(np.max(eigs) / smallest)

@@ -2,21 +2,22 @@
 
 The kernel is the inverse Fourier transform of the reciprocal weight over
 the band, using the ``(1/2pi) integral G(omega) exp(j omega t) domega``
-convention. There are three variants, all evaluated in closed form by
+convention. There are two variants, both evaluated in closed form by
 `psi_closed_form`. For the B-spline weight family
 
     psi(t) = (A/pi) sinc(A t / pi)^(K+1) [ d_0 + 2 sum_{m>=1} d_m cos(2 A m t) ]
              + 2 alpha B sinc(2 B t),
 
-real and even because the coefficients are real and symmetric. The cosine
+real and even because the coefficients are real and symmetric. Uniform
+weights W = 1 are the flat spec with no spline mass and floor alpha = 1, whose
+kernel is the floor term ``2 B sinc(2 B t)`` alone. The cosine
 polynomial is a Chebyshev series in ``x = cos(2 A t)``, summed by Clenshaw's
 recurrence (one ``cos`` per entry), and the sinc power is K multiplies. For a
 tabulated density S (reciprocal weight linear between grid nodes, as
 ``np.interp`` reads it, and constant beyond the end nodes) the transform
 ``(1/pi) integral_0^{2 pi B} S(omega) cos(omega t)`` is summed exactly over
 the linear pieces. Both run over the flattened times in fixed blocks, so
-temporaries stay O(block) and peak memory is the output array. A degenerate
-"uniform" kernel (W = 1 over the band) evaluates to ``2 B sinc(2 B t)``. An
+temporaries stay O(block) and peak memory is the output array. An
 adaptive-quadrature path evaluates the same transform directly from the
 reciprocal weight; it is the independent oracle for the closed forms and is
 used only to check them.
@@ -46,15 +47,16 @@ _SLOPE_SERIES = np.array([1 / 3, -1 / 30, 1 / 840, -1 / 45360, 1 / 3991680,
 
 @dataclass(frozen=True)
 class Kernel:
-    """Interpolation kernel: spec-backed, grid-backed or uniform over the band."""
+    """Interpolation kernel of exactly one of a weight spec or a density grid."""
 
     bandwidth_B: float
     spec: WeightSpec | None = None
     grid: DensityGrid | None = None
 
     def __post_init__(self):
-        if self.spec is not None and self.grid is not None:
-            raise ValueError("a kernel takes a weight spec or a density grid, not both")
+        if (self.spec is None) == (self.grid is None):
+            raise ValueError("a kernel takes exactly one of a weight spec or a "
+                             "density grid")
         if self.spec is not None and self.spec.bandwidth_B != self.bandwidth_B:
             raise ValueError("kernel bandwidth must match its weight spec")
         if self.bandwidth_B <= 0:
@@ -62,8 +64,8 @@ class Kernel:
 
     @classmethod
     def uniform(cls, bandwidth_B):
-        """Kernel for uniform weights W = 1 over the band."""
-        return cls(bandwidth_B=bandwidth_B)
+        """Kernel for uniform weights W = 1 over the band: the flat spec G = 1."""
+        return cls.from_spec(WeightSpec(bandwidth_B, 0, 0, np.zeros(1), 1.0))
 
     @classmethod
     def from_spec(cls, spec):
@@ -83,8 +85,6 @@ class Kernel:
         """Reciprocal weight G = 1/W at in-band angular frequencies."""
         if self.grid is not None:
             return np.interp(omega, self.grid.omegas, self.grid.values)
-        if self.spec is None:
-            return np.ones(np.shape(omega))
         return inverse_weight_eval(self.spec, omega)
 
 
@@ -94,8 +94,6 @@ def psi_closed_form(kernel, t):
     B = kernel.bandwidth_B
     if kernel.grid is not None:
         return _psi_grid(kernel, t)
-    if kernel.spec is None:
-        return 2.0 * B * np.sinc(2.0 * B * t)
     spec = kernel.spec
     A = spec.spacing_A
     M = spec.half_count_M
@@ -198,11 +196,7 @@ def psi_quadrature(kernel, t, tolerance=DEFAULT_TOLERANCE):
     """
     t = float(t)
     edge = 2.0 * np.pi * kernel.bandwidth_B
-    knots = None
-    if kernel.grid is not None:
-        knots = kernel.grid.omegas
-    elif kernel.spec is not None:
-        knots = _spline_knots(kernel.spec)
+    knots = kernel.grid.omegas if kernel.grid is not None else _spline_knots(kernel.spec)
     integrand = lambda om: kernel.reciprocal(om) * np.cos(om * t)
     value = adaptive_simpson(integrand, 0.0, edge, tolerance=tolerance,
                              breakpoints=knots)

@@ -7,8 +7,10 @@ translates of R(tau) with coefficients pinned by node exactness. Choosing
 frequency weights W = 1/S makes the deterministic weighted interpolant
 identical to this estimator, which the Monte-Carlo harness here quantifies.
 So R is the kernel of W = 1/S: every density (weight spec, tabulated grid or
-flat level) maps to a `Kernel` through `PSDModel.matched_kernel`, and R and
-the LMMSE estimate come from the kernel pipeline in closed form.
+flat level, the last a flat weight spec) maps to a `Kernel` through
+`PSDModel.matched_kernel`, and R and the LMMSE estimate come from the kernel
+pipeline in closed form. A Monte-Carlo predictor is one row of node weights,
+truncated sinc or the cardinal values that the power function also uses.
 
 Randomness uses numpy's PCG64 generator (``numpy.random.default_rng``);
 realization k of a run seeded with s draws from ``default_rng([s, k])``, so
@@ -18,9 +20,8 @@ results are reproducible for a fixed seed schedule.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from .interpolate import build_gram, evaluate, solve
+from .interpolate import _cardinal_values, build_gram, evaluate, solve
 from .kernel import Kernel, psi_closed_form
 from .weights import DensityGrid, WeightSpec
 
@@ -47,10 +48,6 @@ class PSDModel:
         sources = sum(x is not None for x in (self.spec, self.grid, self.uniform_level))
         if sources != 1:
             raise ValueError("provide exactly one of spec, grid, uniform_level")
-        if self.bandwidth_B <= 0:
-            raise ValueError(f"bandwidth_B must be positive, got {self.bandwidth_B}")
-        if self.spec is not None and self.spec.bandwidth_B != self.bandwidth_B:
-            raise ValueError("PSD bandwidth must match its weight spec")
         if self.uniform_level is not None and self.uniform_level <= 0:
             raise ValueError("uniform_level must be positive")
         if self.grid is not None and np.min(self.grid.values) <= 0:
@@ -79,15 +76,13 @@ class PSDModel:
         return self._kernel
 
     def _build_kernel(self):
-        if self.spec is not None:
-            return Kernel.from_spec(self.spec)
-        if self.uniform_level is not None:
-            # Flat density gamma^2: represent it by a single full-band
-            # rectangle so the standard closed form applies.
-            flat = WeightSpec(self.bandwidth_B, 0, 0,
-                              np.array([self.uniform_level]), 0.0)
-            return Kernel.from_spec(flat)
-        return Kernel.from_grid(self.bandwidth_B, self.grid)
+        if self.grid is not None:
+            return Kernel.from_grid(self.bandwidth_B, self.grid)
+        spec = self.spec
+        if spec is None:
+            # Flat density gamma^2: no splines, the full-band floor alone
+            spec = WeightSpec(self.bandwidth_B, 0, 0, np.zeros(1), self.uniform_level)
+        return Kernel(self.bandwidth_B, spec=spec)
 
 
 def autocorrelation(psd, tau):
@@ -115,13 +110,11 @@ def synthesize_process(psd, seed, t_grid, nfreq=SYNTHESIS_GRID_SIZE):
     standard-normal a_k, b_k from ``default_rng(seed)``. The discretization
     approximates the continuous process for |t| well inside 1/d_omega.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    omegas, amps = _synthesis_weights(psd, nfreq)
+    cos_t, sin_t = _synthesis_basis(psd, np.asarray(t_grid, dtype=float), nfreq)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(nfreq)
     b = rng.standard_normal(nfreq)
-    phases = np.multiply.outer(omegas, t_grid)
-    return (amps * a) @ np.cos(phases) + (amps * b) @ np.sin(phases)
+    return a @ cos_t + b @ sin_t
 
 
 def empirical_mse(psd, interpolator_kind, T, N, t_eval, realizations, seed,
@@ -139,50 +132,47 @@ def squared_errors(psd, interpolator_kind, T, N, t_eval, realizations, seed,
     ``uniform_weight`` (flat weights over the density's band), or
     ``matched_weight`` (W = 1/S). Realization k draws from
     ``default_rng([seed, k])`` regardless of kind, so kinds see identical
-    processes.
+    processes. The error is linear in the draws, ``a.c + b.s`` with c = C [r; -1],
+    s = S [r; -1] for the synthesis basis C, S at (nodes, t_eval) and row r.
     """
     if interpolator_kind not in MSE_KINDS:
         raise ValueError(f"unknown interpolator kind {interpolator_kind!r}; "
                          f"expected one of {MSE_KINDS}")
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
-    nodes = np.arange(-N, N + 1) * T
-    predictor = _node_predictor(psd, interpolator_kind, T, N, float(t_eval))
-
-    omegas, amps = _synthesis_weights(psd, nfreq)
-    tpts = np.concatenate([nodes, [float(t_eval)]])
-    phases = np.multiply.outer(omegas, tpts)
-    cos_t = amps[:, None] * np.cos(phases)
-    sin_t = amps[:, None] * np.sin(phases)
+    t_eval = float(t_eval)
+    weights = np.append(_predictor_row(psd, interpolator_kind, T, N, t_eval), -1.0)
+    cos_t, sin_t = _synthesis_basis(psd, np.append(np.arange(-N, N + 1) * T, t_eval),
+                                    nfreq)
+    c = cos_t @ weights
+    s = sin_t @ weights
 
     errors = np.empty(realizations)
     for k in range(realizations):
         rng = np.random.default_rng([seed, k])
         a = rng.standard_normal(nfreq)
         b = rng.standard_normal(nfreq)
-        vals = a @ cos_t + b @ sin_t
-        errors[k] = abs(predictor(vals[:-1]) - vals[-1]) ** 2
+        errors[k] = (a @ c + b @ s) ** 2
     return errors
 
 
-def _node_predictor(psd, kind, T, N, t_eval):
-    """Precompute a map from node samples to the estimate at t_eval."""
+def _predictor_row(psd, kind, T, N, t_eval):
+    """Weights of the node samples x[-N..N] in the estimate at t_eval."""
     if kind == "shannon":
-        row = np.sinc(t_eval / T - np.arange(-N, N + 1))
-        return lambda x: row @ x
+        return np.sinc(t_eval / T - np.arange(-N, N + 1))
     if kind == "uniform_weight":
         kern = Kernel.uniform(psd.bandwidth_B)
     else:
         kern = psd.matched_kernel()
-    gram = build_gram(kern, T, N)
-    factor = gram.factor()
-    psi_vec = psi_closed_form(kern, t_eval - gram.times)
-    return lambda x: psi_vec @ cho_solve(factor, x)
+    return _cardinal_values(build_gram(kern, T, N), t_eval)[0]
 
 
-def _synthesis_weights(psd, nfreq):
+def _synthesis_basis(psd, t, nfreq):
+    """sqrt(S(omega_k) d_omega / pi) times cos and sin(omega_k t) on the midpoint
+    grid of ``nfreq`` in-band omega_k; shape (nfreq,) + t.shape."""
     edge = 2.0 * np.pi * psd.bandwidth_B
     d_omega = edge / nfreq
     omegas = (np.arange(nfreq) + 0.5) * d_omega
-    amps = np.sqrt(psd.values(omegas) * d_omega / np.pi)
-    return omegas, amps
+    amps = np.sqrt(psd.values(omegas) * d_omega / np.pi).reshape((nfreq,) + (1,) * t.ndim)
+    phases = np.multiply.outer(omegas, t)
+    return amps * np.cos(phases), amps * np.sin(phases)

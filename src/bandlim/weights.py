@@ -13,7 +13,7 @@ kernel real and even.
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +58,8 @@ class WeightSpec:
     half_count_M: int
     coeffs_d: np.ndarray
     floor_alpha: float = 0.0
+    # (min, max) of the reciprocal weight on the validation grid
+    _range: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bandwidth_B <= 0:
@@ -84,6 +86,7 @@ class WeightSpec:
             raise NonPositiveWeightError(
                 "reciprocal weight is not strictly positive on the band near "
                 f"omega = {grid[np.argmin(g)]:.6g} (min {lo:.3e} vs max {hi:.3e})")
+        object.__setattr__(self, "_range", (lo, hi))
 
     @property
     def spacing_A(self):
@@ -112,8 +115,7 @@ class WeightSpec:
 
     def reciprocal_range(self):
         """(min, max) of the reciprocal weight on the validation grid."""
-        g = inverse_weight_eval(self, self.validation_grid())
-        return float(np.min(g)), float(np.max(g))
+        return self._range
 
     def to_dict(self):
         return {

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bandlim import AnalyticSignal, Kernel, WeightSpec, matched_weights
+from bandlim import AnalyticSignal, Kernel, WeightSpec, inverse_weight_eval, matched_weights
 
 BANDWIDTH = 1.0
 
@@ -67,17 +67,36 @@ def tabulated_transform_reference(bandwidth_B, grid, t, order=12):
     split so that a subinterval spans at most one radian of ``omega t`` at
     the largest |t|, where the order-``order`` rule is exact to rounding.
     """
+    return _piecewise_transform_reference(
+        bandwidth_B, lambda om: np.interp(om, grid.omegas, grid.values), grid.omegas,
+        t, order)
+
+
+def spec_transform_reference(spec, t, order=12):
+    """The same Gauss-Legendre transform of a weight spec's reciprocal weight.
+
+    Between the spline knots 2A (m + j - (K+1)/2) the reciprocal weight is a
+    polynomial of degree K, so the rules are exact to rounding there too.
+    """
+    K, M = spec.degree_K, spec.half_count_M
+    knots = 2.0 * spec.spacing_A * (np.arange(-M, M + 1)[:, None]
+                                    + np.arange(K + 2) - 0.5 * (K + 1))
+    return _piecewise_transform_reference(
+        spec.bandwidth_B, lambda om: inverse_weight_eval(spec, om), np.unique(knots),
+        t, order)
+
+
+def _piecewise_transform_reference(bandwidth_B, density, breaks, t, order):
     t = np.asarray(t, dtype=float)
     edge = 2.0 * np.pi * bandwidth_B
-    om = grid.omegas
-    cuts = np.concatenate([[0.0], om[(om > 0.0) & (om < edge)], [edge]])
+    cuts = np.concatenate([[0.0], breaks[(breaks > 0.0) & (breaks < edge)], [edge]])
     reach = float(np.max(np.abs(t), initial=0.0))
     edges = np.concatenate([np.linspace(lo, hi, int(np.ceil((hi - lo) * reach)) + 2)[:-1]
                             for lo, hi in zip(cuts[:-1], cuts[1:])] + [[edge]])
     x, w = np.polynomial.legendre.leggauss(order)
     lo, hi = edges[:-1, None], edges[1:, None]
     points = (0.5 * (hi - lo) * x + 0.5 * (hi + lo)).ravel()
-    weights = (0.5 * (hi - lo) * w).ravel() * np.interp(points, om, grid.values) / np.pi
+    weights = (0.5 * (hi - lo) * w).ravel() * density(points) / np.pi
     flat = t.ravel()
     out = np.array([np.cos(tv * points) @ weights for tv in flat])
     return out.reshape(t.shape)

@@ -91,6 +91,21 @@ class TestBuildGram:
             conds.append(gram.condition_estimate)
         assert conds[0] < conds[1] < conds[2]
 
+    def test_condition_estimate_tracks_the_condition_number(self, lowpass_kernel,
+                                                            highpass_kernel):
+        kernels = [Kernel.uniform(B), lowpass_kernel, highpass_kernel,
+                   Kernel.from_spec(random_weight_spec(11, bandwidth_B=B))]
+        checked = 0
+        for kernel in kernels:
+            for ratio in (1.3, 1.0, 0.9, 0.7, 0.5):
+                gram = build_gram(kernel, ratio / (2 * B), 10)
+                cond = np.linalg.cond(gram.dense, 1)
+                if gram.cholesky is None or cond >= 1e10:
+                    continue
+                checked += 1
+                assert cond / 10 <= gram.condition_estimate <= 10 * cond
+        assert checked >= 10
+
     def test_not_positive_definite_surfaced(self):
         # heavy oversampling drives eigenvalues below machine zero
         gram = build_gram(Kernel.uniform(B), 0.3 / (2 * B), 15)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from bandlim import (DensityGrid, Kernel, WeightSpec, psi_closed_form, psi_quadrature,
-                     shannon_kernel)
+from bandlim import (BandError, DensityGrid, Kernel, WeightSpec, psi_closed_form,
+                     psi_quadrature, shannon_kernel)
 from bandlim.kernel import _BLOCK
 from conftest import (random_weight_spec, tabulated_transform_reference,
                       tabulated_transform_scale)
@@ -21,6 +21,16 @@ class TestUniformKernel:
         t = np.linspace(-4, 4, 33)
         np.testing.assert_array_equal(psi_closed_form(k, t),
                                       2 * B * np.sinc(2 * B * t))
+
+    def test_is_the_flat_spec(self):
+        k = Kernel.uniform(0.8)
+        assert k == Kernel.from_spec(WeightSpec(0.8, 0, 0, np.zeros(1), 1.0))
+        edge = 2.0 * np.pi * 0.8
+        np.testing.assert_array_equal(k.reciprocal(np.linspace(-edge, edge, 9)), 1.0)
+        with pytest.raises(BandError):
+            k.reciprocal(1.01 * edge)
+        assert psi_quadrature(k, 0.3) == pytest.approx(
+            float(psi_closed_form(k, 0.3)), abs=oracle_tolerance(k))
 
     def test_critical_spacing_gives_shannon_kernel_over_T(self):
         T = 0.5
@@ -129,11 +139,14 @@ def reference_tolerance(spec):
                     + 2.0 * spec.floor_alpha * spec.bandwidth_B)
 
 
-# Random specs, plus the flat K=0, M=0 rectangle PSDModel.uniform builds.
+# Random specs, plus the two flat K=0, M=0 forms: the full-band spline
+# rectangle, and the floor alone that Kernel.uniform and PSDModel.uniform build.
 spec_strategy = st.one_of(
     st.integers(0, 10_000).map(random_weight_spec),
     st.sampled_from([0.5, 1.0, 2.0]).map(
         lambda B: WeightSpec(B, 0, 0, np.array([0.7]), 0.0)),
+    st.tuples(st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.7, 1.0, 3.0])).map(
+        lambda case: WeightSpec(case[0], 0, 0, np.zeros(1), case[1])),
 )
 times_strategy = arrays(float, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=30),
                         elements=st.floats(-2000.0, 2000.0))
@@ -196,6 +209,8 @@ class TestGridKernel:
         grid = DensityGrid([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             Kernel(bandwidth_B=1.0, spec=random_weight_spec(3, bandwidth_B=1.0), grid=grid)
+        with pytest.raises(ValueError):
+            Kernel(bandwidth_B=1.0)
 
     def test_origin_is_trapezoid_sum(self):
         B, grid = grid_example(1.0, -0.3, 0.7, 9)

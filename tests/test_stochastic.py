@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from bandlim import (DensityGrid, NotPositiveDefiniteError, PSDModel, SampleSet,
-                     autocorrelation, build_gram, empirical_mse, evaluate,
+from bandlim import (DensityGrid, Kernel, NotPositiveDefiniteError, PSDModel, SampleSet,
+                     autocorrelation, build_gram, cardinal, empirical_mse, evaluate,
                      gaussian_smooth, inverse_weight_eval, lmmse_interpolate,
                      sample_signal, solve, squared_errors, synthesize_process,
                      truncated_shannon)
 from bandlim.signals import spectral_density_grid
-from bandlim.stochastic import SYNTHESIS_GRID_SIZE
-from conftest import tabulated_transform_reference
+from bandlim.stochastic import MSE_KINDS, SYNTHESIS_GRID_SIZE, _predictor_row
+from conftest import spec_transform_reference, tabulated_transform_reference
 
 B = 1.0
 
@@ -24,6 +24,15 @@ class TestPSDModel:
             PSDModel(bandwidth_B=B)
         with pytest.raises(ValueError):
             PSDModel(bandwidth_B=B, spec=lowpass_spec, uniform_level=1.0)
+
+    def test_bandwidth_checked_by_the_kernel(self, lowpass_spec):
+        with pytest.raises(ValueError, match="bandwidth"):
+            PSDModel(bandwidth_B=2.0 * B, spec=lowpass_spec)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="bandwidth"):
+                PSDModel.uniform(bad, 1.0)
+            with pytest.raises(ValueError, match="bandwidth"):
+                PSDModel.from_grid(bad, DensityGrid([0.0, 1.0], [1.0, 2.0]))
 
     def test_uniform_level_positive(self):
         with pytest.raises(ValueError):
@@ -140,6 +149,36 @@ class TestLMMSE:
 
 
 @pytest.fixture(scope="module")
+def flat_psd():
+    return PSDModel.uniform(B, 0.7)
+
+
+REPLAY_PSDS = {"spec": "lowpass_psd", "grid": "tabulated_psd", "flat": "flat_psd"}
+
+
+def _reference_row(psd, kind, T, N, t_eval):
+    """Weights of the node samples in each kind's estimate at t_eval."""
+    n = np.arange(-N, N + 1)
+    if kind == "shannon":
+        return np.sinc(t_eval / T - n)
+    edge = 2.0 * np.pi * B
+    if kind == "uniform_weight":
+        transform = lambda tau: tabulated_transform_reference(
+            B, DensityGrid([0.0, edge], [1.0, 1.0]), tau)
+    elif psd.spec is not None:
+        transform = lambda tau: spec_transform_reference(psd.spec, tau)
+    elif psd.grid is not None:
+        transform = lambda tau: tabulated_transform_reference(B, psd.grid, tau)
+    else:
+        level = psd.uniform_level
+        transform = lambda tau: tabulated_transform_reference(
+            B, DensityGrid([0.0, edge], [level, level]), tau)
+    nodes = n * T
+    return np.linalg.solve(transform(nodes[:, None] - nodes[None, :]),
+                           transform(t_eval - nodes))
+
+
+@pytest.fixture(scope="module")
 def tabulated_psd():
     """A nonuniform tabulated density that starts above 0 and ends past the band edge."""
     rng = np.random.default_rng(17)
@@ -157,18 +196,31 @@ class TestTabulatedPSD:
         np.testing.assert_array_equal(lmmse_interpolate(samples, tabulated_psd, t),
                                       evaluate(solve(gram, samples), t))
 
-    def test_matched_weight_squared_errors_replay(self, tabulated_psd):
+    @pytest.mark.parametrize("kind", MSE_KINDS)
+    @pytest.mark.parametrize("source", ["spec", "grid", "flat"])
+    def test_matched_weight_squared_errors_replay(self, request, source, kind):
+        # rows from Gauss-Legendre transforms, independent of the closed forms
+        psd = request.getfixturevalue(REPLAY_PSDS[source])
         T, N, t_eval, seed = 0.8, 5, 0.37, 99
         nodes = np.arange(-N, N + 1) * T
-        lags = nodes[:, None] - nodes[None, :]
-        gram = tabulated_transform_reference(B, tabulated_psd.grid, lags)
-        row = np.linalg.solve(gram, tabulated_transform_reference(
-            B, tabulated_psd.grid, t_eval - nodes))
-        errors = squared_errors(tabulated_psd, "matched_weight", T, N, t_eval, 6, seed)
+        row = _reference_row(psd, kind, T, N, t_eval)
+        errors = squared_errors(psd, kind, T, N, t_eval, 6, seed)
         pts = np.concatenate([nodes, [t_eval]])
         for k, err in enumerate(errors):
-            x = synthesize_process(tabulated_psd, [seed, k], pts)
+            x = synthesize_process(psd, [seed, k], pts)
             assert err == pytest.approx((row @ x[:-1] - x[-1]) ** 2, rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("kind", ["uniform_weight", "matched_weight"])
+    @pytest.mark.parametrize("source", ["spec", "grid", "flat"])
+    def test_predictor_row_is_the_cardinals(self, request, source, kind):
+        psd = request.getfixturevalue(REPLAY_PSDS[source])
+        kern = Kernel.uniform(B) if kind == "uniform_weight" else psd.matched_kernel()
+        for T, N, t_eval in ((0.8, 5, 0.37), (0.4, 7, -1.15), (0.5, 3, 1.0)):
+            gram = build_gram(kern, T, N)
+            row = _predictor_row(psd, kind, T, N, t_eval)
+            assert row.shape == (2 * N + 1,)
+            expected = [cardinal(gram, n, t_eval) for n in range(-N, N + 1)]
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
 
     def test_not_positive_definite_error(self, highfreq_signal):
         sigma = 2.0 * 2.0 * np.pi * B / (3 + 2 * 11 + 1)
@@ -200,6 +252,13 @@ class TestSynthesis:
         target = float(autocorrelation(lowpass_psd, 0.0))
         for j in range(t.size):
             assert np.var(vals[:, j]) == pytest.approx(target, rel=0.05)
+
+    def test_output_shape_follows_t(self, lowpass_psd):
+        t = np.linspace(-3, 3, 17)
+        assert synthesize_process(lowpass_psd, 5, t).shape == t.shape
+        assert np.shape(synthesize_process(lowpass_psd, 5, 0.4)) == ()
+        assert synthesize_process(lowpass_psd, 5, 0.4) == pytest.approx(
+            synthesize_process(lowpass_psd, 5, [0.4])[0], rel=1e-13)
 
     def test_zero_mean(self, lowpass_psd):
         trials = 2000

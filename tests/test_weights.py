@@ -8,6 +8,7 @@ from bandlim import (BandError, DensityGrid, WeightFitError, WeightSpec,
                      identity_transform, inverse_weight_eval, normalized,
                      power_transform, weights_from_density)
 from bandlim.signals import AnalyticSignal, matched_weights
+from bandlim import weights as weights_module
 from bandlim.weights import _spline_mix
 from conftest import random_weight_spec
 
@@ -52,6 +53,20 @@ class TestWeightSpec:
         assert spec.coeff(0) == 1.0
         with pytest.raises(IndexError):
             spec.coeff(2)
+
+    def test_reciprocal_range_is_the_validation_pass(self, monkeypatch):
+        for spec in (random_weight_spec(2), random_weight_spec(9),
+                     WeightSpec(B, 0, 0, np.zeros(1), 1.5)):
+            g = inverse_weight_eval(spec, spec.validation_grid())
+            assert spec.reciprocal_range() == (float(np.min(g)), float(np.max(g)))
+            assert "_range" not in repr(spec)
+        calls = []
+        evaluate = weights_module.inverse_weight_eval
+        monkeypatch.setattr(weights_module, "inverse_weight_eval",
+                            lambda *args: calls.append(1) or evaluate(*args))
+        # one positivity pass for the fit and one for its normalized copy
+        matched_weights(AnalyticSignal.lowfreq(B))
+        assert len(calls) == 2
 
     def test_json_roundtrip(self, tmp_path):
         spec = random_weight_spec(1)
