@@ -67,9 +67,10 @@ def power_function(gram, t):
     The kernel values v[:, j] = psi(t_j - nT) and the cardinal values
     u = R^{-1} v come from `interpolate._cardinal_values`. P^2 keeps the
     second-order form ``psi0 - 2 u.v + u.R u``, whose terms cancel at the
-    nodes.
+    nodes. The result has the shape of ``t`` (at least 1-d).
     """
-    u, v = _cardinal_values(gram, np.atleast_1d(np.asarray(t, dtype=float)))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    u, v = _cardinal_values(gram, t.ravel())
     psi0 = gram.kernel.psi0
     # u.v is formed row-major, so that the axis-0 sum adds it row by row
     p2 = (psi0 - 2.0 * np.sum(np.multiply(u, v, order="C"), axis=0)
@@ -79,7 +80,7 @@ def power_function(gram, t):
         raise NegativePowerError(
             f"squared power function reached {float(np.min(p2)):.3e}, below the "
             f"roundoff floor {floor:.3e}; the Gram system is too ill-conditioned")
-    return np.sqrt(np.maximum(p2, 0.0))
+    return np.sqrt(np.maximum(p2, 0.0)).reshape(t.shape)
 
 
 def weighted_pointwise_bound(interp, D, t_grid):

@@ -1,10 +1,17 @@
 """Centered B-spline basis evaluation.
 
 The degree-``K`` centered B-spline is the (K+1)-fold self-convolution of the
-unit rectangle, supported on ``|x| < (K+1)/2``. Degrees 0..3 use explicit
-piecewise polynomials; higher degrees use the two-term recurrence seeded at
-degree 3 so that no evaluation ever touches the rectangle's jump points.
+unit rectangle, supported on ``|x| < h`` with ``h = (K+1)/2``. Degree 0 is the
+rectangle's indicator. Every degree K >= 1 is one symmetric truncated-power
+sum (de Boor, *A Practical Guide to Splines*)
+
+    beta_K(x) = sum_{0 <= j < h} (-1)^j C(K+1, j) max(h - j - |x|, 0)^K / K!,
+
+which reads only |x|, so it is exactly even and vanishes continuously at the
+support edge. Each power is K - 1 multiplies, so a term costs O(K).
 """
+
+from math import comb, factorial
 
 import numpy as np
 
@@ -30,39 +37,13 @@ def bspline_eval(degree_K, x):
     x = np.asarray(x, dtype=float)
     if degree_K == 0:
         return np.where(np.abs(x) < 0.5, 1.0, 0.0)
-    if degree_K == 1:
-        return np.maximum(0.0, 1.0 - np.abs(x))
-    if degree_K == 2:
-        return _beta2(x)
-    if degree_K == 3:
-        return _beta3(x)
-    return _recurrence(degree_K, x)
-
-
-def _beta2(x):
-    # branchless one-sided-power form: (r(1.5)^2 - 3 r(0.5)^2) / 2,
-    # r(h) = max(0, h - |x|)
     ax = np.abs(x)
-    outer = np.maximum(1.5 - ax, 0.0)
-    inner = np.maximum(0.5 - ax, 0.0)
-    return 0.5 * (outer * outer - 3.0 * inner * inner)
-
-
-def _beta3(x):
-    # branchless: (r(2)^3 - 4 r(1)^3) / 6
-    ax = np.abs(x)
-    outer = np.maximum(2.0 - ax, 0.0)
-    inner = np.maximum(1.0 - ax, 0.0)
-    return (outer * outer * outer - 4.0 * inner * inner * inner) / 6.0
-
-
-def _recurrence(k, x):
-    # beta^k(x) = [ (h + x) beta^{k-1}(x + 1/2) + (h - x) beta^{k-1}(x - 1/2) ] / k
-    # with h = (k+1)/2. Bottoming out at the continuous degree-3 piece keeps
-    # every intermediate evaluation away from the degree-0 discontinuity.
-    if k == 3:
-        return _beta3(x)
-    h = 0.5 * (k + 1)
-    left = _recurrence(k - 1, x + 0.5)
-    right = _recurrence(k - 1, x - 0.5)
-    return ((h + x) * left + (h - x) * right) / k
+    half = 0.5 * (degree_K + 1)
+    total = 0.0
+    for j in range(degree_K // 2 + 1):  # 0 <= j < h
+        r = np.maximum(half - j - ax, 0.0)
+        power = np.array(r)
+        for _ in range(degree_K - 1):
+            power *= r
+        total = total + (-1) ** j * comb(degree_K + 1, j) * power
+    return total / factorial(degree_K)

@@ -189,10 +189,7 @@ def mc(config_path, output_dir, seed, quiet):
     if run_seed is None:
         raise ConfigError("mc commands need a seed (config key or --seed)")
 
-    spec = _weight_spec_from_config(cfg, B)
-    if spec is None:
-        raise ConfigError("mc commands need spec-backed weights for the PSD")
-    psd = PSDModel.from_weight_spec(spec)
+    psd = PSDModel.from_weight_spec(_weight_spec_from_config(cfg, B))
     rows = []
     for kind in kinds:
         errs = squared_errors(psd, kind, T, N, t_eval, realizations, run_seed)
@@ -297,15 +294,15 @@ def _signal_from_config(cfg, bandwidth):
 
 
 def _weight_spec_from_config(cfg, bandwidth):
-    """Resolve the weights section to a WeightSpec, or None for uniform."""
+    """Resolve the weights section to a WeightSpec (uniform is the flat spec)."""
     section = cfg.get("weights", {"matched": {}})
     if not isinstance(section, dict) or len(section) != 1:
         raise ConfigError("weights section must hold exactly one of "
                           "uniform/path/inline/matched")
     (key, value), = section.items()
     if key == "uniform":
-        return None
-    if key == "path":
+        spec = Kernel.uniform(bandwidth).spec
+    elif key == "path":
         candidate = Path(value)
         if not candidate.is_absolute():
             candidate = Path(cfg["_config_dir"]) / candidate
@@ -341,8 +338,7 @@ def _weight_spec_from_config(cfg, bandwidth):
 
 
 def _kernel_from_config(cfg, bandwidth):
-    spec = _weight_spec_from_config(cfg, bandwidth)
-    return Kernel.uniform(bandwidth) if spec is None else Kernel.from_spec(spec)
+    return Kernel.from_spec(_weight_spec_from_config(cfg, bandwidth))
 
 
 def _transform_from_config(section):

@@ -108,13 +108,16 @@ def synthesize_process(psd, seed, t_grid, nfreq=SYNTHESIS_GRID_SIZE):
     Sums ``sqrt(S(omega_k) d_omega / pi) [a_k cos(omega_k t) + b_k sin(omega_k t)]``
     over a midpoint grid of ``nfreq`` in-band frequencies with independent
     standard-normal a_k, b_k from ``default_rng(seed)``. The discretization
-    approximates the continuous process for |t| well inside 1/d_omega.
+    approximates the continuous process for |t| well inside 1/d_omega. The
+    result has the shape of ``t_grid``.
     """
-    cos_t, sin_t = _synthesis_basis(psd, np.asarray(t_grid, dtype=float), nfreq)
+    t = np.asarray(t_grid, dtype=float)
+    cos_t, sin_t = _synthesis_basis(psd, t.ravel(), nfreq)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(nfreq)
     b = rng.standard_normal(nfreq)
-    return a @ cos_t + b @ sin_t
+    # [()] turns a 0-d result into a scalar
+    return (a @ cos_t + b @ sin_t).reshape(t.shape)[()]
 
 
 def empirical_mse(psd, interpolator_kind, T, N, t_eval, realizations, seed,
@@ -169,10 +172,10 @@ def _predictor_row(psd, kind, T, N, t_eval):
 
 def _synthesis_basis(psd, t, nfreq):
     """sqrt(S(omega_k) d_omega / pi) times cos and sin(omega_k t) on the midpoint
-    grid of ``nfreq`` in-band omega_k; shape (nfreq,) + t.shape."""
+    grid of ``nfreq`` in-band omega_k, for 1-d t; shape (nfreq, t.size)."""
     edge = 2.0 * np.pi * psd.bandwidth_B
     d_omega = edge / nfreq
     omegas = (np.arange(nfreq) + 0.5) * d_omega
-    amps = np.sqrt(psd.values(omegas) * d_omega / np.pi).reshape((nfreq,) + (1,) * t.ndim)
+    amps = np.sqrt(psd.values(omegas) * d_omega / np.pi)[:, None]
     phases = np.multiply.outer(omegas, t)
     return amps * np.cos(phases), amps * np.sin(phases)

@@ -250,18 +250,22 @@ def inverse_weight_eval(spec, omega):
                        omega / (2.0 * spec.spacing_A)) + spec.floor_alpha
 
 
-def _spline_mix(degree_K, half_count_M, coeffs, x):
-    # Each point sees at most degree_K + 1 translates with nonzero support;
-    # gather those coefficients instead of forming the full basis matrix.
-    x = np.asarray(x, dtype=float)
+def _translates(degree_K, half_count_M, x):
+    """Yield (m, in_range, beta_K(x - m)) for the K + 1 translates that can be
+    nonzero at each point of ``x``; ``in_range`` marks ``|m| <= half_count_M``."""
     first = np.floor(x - 0.5 * (degree_K + 1)).astype(int) + 1
-    total = np.zeros(x.shape)
     for j in range(degree_K + 1):
         m = first + j
-        in_range = np.abs(m) <= half_count_M
-        dm = np.where(in_range, coeffs[np.clip(m + half_count_M, 0,
-                                               2 * half_count_M)], 0.0)
-        total += dm * bspline_eval(degree_K, x - m)
+        yield m, np.abs(m) <= half_count_M, bspline_eval(degree_K, x - m)
+
+
+def _spline_mix(degree_K, half_count_M, coeffs, x):
+    # gather the coefficients of the translates instead of forming the basis
+    x = np.asarray(x, dtype=float)
+    total = np.zeros(x.shape)
+    for m, in_range, beta in _translates(degree_K, half_count_M, x):
+        dm = np.where(in_range, coeffs.take(m + half_count_M, mode="clip"), 0.0)
+        total += dm * beta
     return total
 
 
@@ -270,13 +274,16 @@ def fit_weights(target, bandwidth_B, degree_K, half_count_M,
     """Fit symmetric spline coefficients to a transformed target density.
 
     Ordinary least squares matches the spline sum to ``theta(Z(omega)) -
-    alpha`` at the grid nodes, then symmetrizes the coefficient vector and
-    validates strict positivity of the result.
+    alpha`` at the grid nodes, with the M + 1 free coefficients d_0..d_M of
+    the symmetric model (translates -m and m share one column), and
+    validates strict positivity of the result. The model is even in omega,
+    so a density tabulated on one side of the band fits as well as one
+    tabulated on both.
 
     Parameters
     ----------
     target : DensityGrid
-        Density samples covering the band.
+        Density samples covering the band, or its half omega >= 0.
     bandwidth_B : float
         Band edge / (2 pi), in Hz.
     degree_K, half_count_M : int
@@ -298,20 +305,23 @@ def fit_weights(target, bandwidth_B, degree_K, half_count_M,
     edge = 2.0 * np.pi * bandwidth_B
     if np.any(np.abs(target.omegas) > edge * (1 + 1e-12)):
         raise BandError("density grid extends beyond the band edge")
-    n_basis = 2 * half_count_M + 1
-    if target.omegas.size < n_basis:
+    n_free = half_count_M + 1
+    if target.omegas.size < n_free:
         raise ValueError(
-            f"need at least {n_basis} grid nodes to fit {n_basis} coefficients, "
+            f"need at least {n_free} grid nodes to fit {n_free} coefficients, "
             f"got {target.omegas.size}")
 
     y = theta(target.values)
     if floor_alpha is None:
         floor_alpha = 1e-3 * float(np.max(y))
-    x = target.omegas / (2.0 * spacing)
-    ms = np.arange(-half_count_M, half_count_M + 1)
-    design = np.stack([bspline_eval(degree_K, x - m) for m in ms], axis=1)
-    d, *_ = np.linalg.lstsq(design, y - floor_alpha, rcond=None)
-    d = 0.5 * (d + d[::-1])
+    # column |m| of the design sums the translates -m and m
+    design = np.zeros((y.size, n_free))
+    rows = np.arange(y.size)
+    for m, in_range, beta in _translates(degree_K, half_count_M,
+                                         target.omegas / (2.0 * spacing)):
+        design[rows[in_range], np.abs(m[in_range])] += beta[in_range]
+    half, *_ = np.linalg.lstsq(design, y - floor_alpha, rcond=None)
+    d = np.concatenate([half[:0:-1], half])
 
     try:
         return WeightSpec(bandwidth_B, degree_K, half_count_M, d, floor_alpha)

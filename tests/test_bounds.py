@@ -26,6 +26,14 @@ class TestPowerFunction:
         t = np.linspace(-12, 12, 301)
         assert np.all(power_function(gram, t) >= 0.0)
 
+    def test_shape_follows_t(self, lowpass_kernel):
+        gram = build_gram(lowpass_kernel, 1.0 / B, 6)
+        t = np.linspace(-3.3, 2.9, 6)
+        grid = t.reshape(2, 3)
+        np.testing.assert_array_equal(power_function(gram, grid),
+                                      power_function(gram, t).reshape(2, 3))
+        assert power_function(gram, 0.25).shape == (1,)
+
     def test_uniform_critical_matches_sinc_formula(self):
         # substituting sinc cardinals gives P = sqrt((1 - sum sinc^2)/T)
         T, N = 0.5, 7

@@ -58,17 +58,49 @@ def test_support(degree):
     assert np.all(bspline_eval(degree, inside) > 0.0)
 
 
-@given(st.floats(-10, 10), st.integers(0, 6))
+@given(st.floats(-10, 10), st.integers(0, 10))
 def test_even_symmetry(x, degree):
     assert bspline_eval(degree, x) == bspline_eval(degree, -x)
 
 
-@given(st.floats(-4, 4), st.integers(1, 5))
+@given(st.floats(-4, 4), st.integers(1, 10))
 def test_partition_of_unity(x, degree):
-    # translates over all integers sum to one; |m| <= 8 covers the support
-    m = np.arange(-8, 9)
+    # translates over all integers sum to one; |m| <= 10 covers the support
+    m = np.arange(-10, 11)
     total = float(np.sum(bspline_eval(degree, x - m)))
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def _rectangle_midpoint(x):
+    # degree 0 with the midpoint value at its jumps, where the recurrence
+    # from degree 0 to degree 1 averages the two one-sided limits
+    ax = np.abs(x)
+    return np.where(ax < 0.5, 1.0, np.where(ax == 0.5, 0.5, 0.0))
+
+
+@given(st.floats(-7, 7), st.integers(1, 10))
+def test_two_term_recurrence(x, degree):
+    # beta_K(x) = [(h + x) beta_{K-1}(x + 1/2) + (h - x) beta_{K-1}(x - 1/2)] / K
+    # with h = (K + 1)/2: an independent route to every degree
+    lower = _rectangle_midpoint if degree == 1 else (
+        lambda y: bspline_eval(degree - 1, y))
+    h = 0.5 * (degree + 1)
+    expected = ((h + x) * lower(x + 0.5) + (h - x) * lower(x - 0.5)) / degree
+    assert float(bspline_eval(degree, x)) == pytest.approx(float(expected),
+                                                            abs=1e-13)
+
+
+def test_linear_and_cubic_are_the_one_sided_power_forms():
+    # K = 1 is the hat max(0, 1 - |x|) and K = 3 is (r(2)^3 - 4 r(1)^3) / 6
+    # with r(c) = max(c - |x|, 0), bit for bit
+    x = np.random.default_rng(4).uniform(-2.5, 2.5, 20000)
+    ax = np.abs(x)
+    np.testing.assert_array_equal(bspline_eval(1, x), np.maximum(0.0, 1.0 - ax))
+    outer = np.maximum(2.0 - ax, 0.0)
+    inner = np.maximum(1.0 - ax, 0.0)
+    np.testing.assert_array_equal(
+        bspline_eval(3, x),
+        (outer * outer * outer - 4.0 * inner * inner * inner) / 6.0)
 
 
 def test_negative_degree_rejected():

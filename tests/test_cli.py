@@ -244,6 +244,21 @@ class TestMCCommand:
         assert set(cols["kind"]) == {"shannon", "uniform_weight",
                                      "matched_weight"}
 
+    def test_uniform_weights_run_the_flat_psd(self, tmp_path):
+        # uniform weights are the flat spec, so the PSD is flat and the
+        # uniform and matched predictors share the kernel and the draws
+        cfg = write_config(tmp_path, weights={"uniform": True},
+                           mc={"realizations": 50, "eval_time_s": 0.3})
+        out = tmp_path / "out"
+        assert run_cli(["mc", "--config", str(cfg), "--output-dir",
+                        str(out), "--quiet"]) == 0
+        _, cols = read_csv(out / "mc.csv")
+        row = {kind: i for i, kind in enumerate(cols["kind"])}
+        for column in ("mse", "stderr"):
+            assert (cols[column][row["uniform_weight"]]
+                    == cols[column][row["matched_weight"]])
+        assert float(cols["mse"][row["matched_weight"]]) > 0.0
+
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, mc={"realizations": 40, "eval_time_s": 0.5})
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -259,6 +259,10 @@ class TestSynthesis:
         assert np.shape(synthesize_process(lowpass_psd, 5, 0.4)) == ()
         assert synthesize_process(lowpass_psd, 5, 0.4) == pytest.approx(
             synthesize_process(lowpass_psd, 5, [0.4])[0], rel=1e-13)
+        grid = t[:15].reshape(3, 5)
+        np.testing.assert_array_equal(synthesize_process(lowpass_psd, 5, grid),
+                                      synthesize_process(lowpass_psd, 5, t[:15])
+                                      .reshape(3, 5))
 
     def test_zero_mean(self, lowpass_psd):
         trials = 2000

@@ -9,7 +9,7 @@ from bandlim import (BandError, DensityGrid, WeightFitError, WeightSpec,
                      power_transform, weights_from_density)
 from bandlim.signals import AnalyticSignal, matched_weights
 from bandlim import weights as weights_module
-from bandlim.weights import _spline_mix
+from bandlim.weights import _spline_mix, _translates
 from conftest import random_weight_spec
 
 B = 1.0
@@ -130,6 +130,19 @@ class TestInverseWeightEval:
                                    rtol=1e-13, atol=1e-15)
 
 
+@pytest.mark.parametrize("K,M", [(0, 4), (1, 5), (3, 11), (6, 3), (10, 7)])
+def test_translates_fill_the_dense_design(K, M):
+    # scattering the K + 1 translates per point gives, bit for bit, the
+    # design of all 2M + 1 translates
+    x = np.random.default_rng(K + M).uniform(-M - K, M + K, 3001)
+    dense = np.stack([bspline_eval(K, x - m) for m in range(-M, M + 1)], axis=1)
+    design = np.zeros_like(dense)
+    rows = np.arange(x.size)
+    for m, in_range, beta in _translates(K, M, x):
+        design[rows[in_range], m[in_range] + M] = beta[in_range]
+    np.testing.assert_array_equal(design, dense)
+
+
 def test_partition_plateau():
     # With equal coefficients and no floor, the translated splines sum to the
     # common value wherever no spline is truncated by the band edge.
@@ -200,6 +213,58 @@ class TestFitWeights:
         grid = DensityGrid(band_grid(), np.ones(513))
         with pytest.raises(ValueError, match="floor_alpha"):
             fit_weights(grid, B, 3, 11, floor_alpha=-0.5)
+
+    def test_one_sided_grid_fits_like_two_sided(self):
+        # the fitted model is even, so the half omega >= 0 of a two-sided
+        # grid without a node at 0 carries the same least-squares problem
+        om = band_grid(800)
+        for target in (1.0 + 0.5 * np.cos(om), 1.0 + np.exp(-(om / 3.0) ** 2)):
+            two = fit_weights(DensityGrid(om, target), B, 3, 11, floor_alpha=0.1)
+            half = om > 0
+            one = fit_weights(DensityGrid(om[half], target[half]), B, 3, 11,
+                              floor_alpha=0.1)
+            np.testing.assert_allclose(one.coeffs_d, two.coeffs_d, rtol=1e-12)
+            inner = om[np.abs(om) <= 0.8 * EDGE]
+            np.testing.assert_allclose(inverse_weight_eval(one, inner),
+                                       inverse_weight_eval(two, inner),
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_symmetric_fit_against_averaged_fit(self, seed):
+        # the folded fit is least squares over symmetric coefficient vectors,
+        # so no symmetrized unconstrained fit has a smaller residual; on a
+        # symmetric grid the averaged fit is the least-squares fit of the
+        # data's even part, which is the folded fit
+        rng = np.random.default_rng(seed)
+        K, M, alpha = int(rng.integers(1, 6)), int(rng.integers(3, 12)), 0.1
+        spacing = 2.0 * np.pi * B / (K + 2 * M + 1)
+
+        def target(om):
+            return 1.0 + 0.5 * np.cos(om) + 0.3 * np.sin(0.7 * om + 0.4)
+
+        def averaged_fit(om):
+            x = om / (2.0 * spacing)
+            dense = np.stack([bspline_eval(K, x - m) for m in range(-M, M + 1)],
+                             axis=1)
+            d, *_ = np.linalg.lstsq(dense, target(om) - alpha, rcond=None)
+            return dense, 0.5 * (d + d[::-1])
+
+        asym = np.sort(rng.uniform(-EDGE, EDGE, 400))
+        dense, averaged = averaged_fit(asym)
+        folded = fit_weights(DensityGrid(asym, target(asym)), B, K, M,
+                             floor_alpha=alpha).coeffs_d
+        np.testing.assert_array_equal(folded, folded[::-1])
+        y = target(asym) - alpha
+        assert (np.linalg.norm(dense @ folded - y)
+                <= np.linalg.norm(dense @ averaged - y) * (1 + 1e-12))
+
+        right = np.sort(rng.uniform(0.0, EDGE, 200))
+        sym = np.concatenate([-right[::-1], right])
+        _, averaged = averaged_fit(sym)
+        folded = fit_weights(DensityGrid(sym, target(sym)), B, K, M,
+                             floor_alpha=alpha).coeffs_d
+        np.testing.assert_allclose(folded, averaged,
+                                   rtol=1e-12, atol=1e-12 * np.max(np.abs(averaged)))
 
     def test_too_few_nodes_rejected(self):
         grid = DensityGrid(np.linspace(-1, 1, 5), np.ones(5))
