@@ -85,6 +85,7 @@ def power_function(gram, t):
 
 def weighted_pointwise_bound(interp, D, t_grid):
     """Bound |xhat(t) - x(t)| for truths with weighted norm at most D."""
+    _check_budget("norm budget D", D)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     norm_sq = wnorm_sq(interp)
     # Factored so that D = sqrt(norm_sq) gives a gap of exactly zero
@@ -157,7 +158,15 @@ def minimax_worstcase(samples, E, t, tail_range=10_000, phase=0.0):
                             truncation_deficit=float(deficit))
 
 
+def _check_budget(name, value):
+    # A plain ValueError: a NaN, infinite or negative budget is an input
+    # error, not an infeasible ball (a negative one would pass as its square)
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def _energy_constant(samples, E):
+    _check_budget("energy budget E", E)
     T = samples.spacing_T
     interp_energy = T * float(np.sum(np.abs(samples.values) ** 2))
     gap = E * E - interp_energy

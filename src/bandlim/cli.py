@@ -21,7 +21,7 @@ from .interpolate import NotPositiveDefiniteError, build_gram, cardinal, \
     evaluate, solve, truncated_shannon
 from .kernel import Kernel, psi_closed_form, shannon_kernel
 from .signals import AnalyticSignal, eval_signal, matched_weights, sample_signal
-from .stochastic import MSE_KINDS, PSDModel, squared_errors
+from .stochastic import MSE_KINDS, squared_errors
 from .weights import DensityGrid, WeightFitError, WeightSpec, fit_weights, \
     identity_transform, power_transform
 
@@ -189,7 +189,7 @@ def mc(config_path, output_dir, seed, quiet):
     if run_seed is None:
         raise ConfigError("mc commands need a seed (config key or --seed)")
 
-    psd = PSDModel.from_weight_spec(_weight_spec_from_config(cfg, B))
+    psd = _kernel_from_config(cfg, B)
     rows = []
     for kind in kinds:
         errs = squared_errors(psd, kind, T, N, t_eval, realizations, run_seed)
@@ -293,16 +293,16 @@ def _signal_from_config(cfg, bandwidth):
     raise ConfigError(f"unknown signal {name!r}; expected lowfreq or highfreq")
 
 
-def _weight_spec_from_config(cfg, bandwidth):
-    """Resolve the weights section to a WeightSpec (uniform is the flat spec)."""
+def _kernel_from_config(cfg, bandwidth):
+    """Resolve the weights section to its kernel (uniform is the flat spec)."""
     section = cfg.get("weights", {"matched": {}})
     if not isinstance(section, dict) or len(section) != 1:
         raise ConfigError("weights section must hold exactly one of "
                           "uniform/path/inline/matched")
     (key, value), = section.items()
     if key == "uniform":
-        spec = Kernel.uniform(bandwidth).spec
-    elif key == "path":
+        return Kernel.uniform(bandwidth)
+    if key == "path":
         candidate = Path(value)
         if not candidate.is_absolute():
             candidate = Path(cfg["_config_dir"]) / candidate
@@ -334,11 +334,7 @@ def _weight_spec_from_config(cfg, bandwidth):
         raise ConfigError(
             f"weight spec bandwidth {spec.bandwidth_B} does not match "
             f"config bandwidth {bandwidth}")
-    return spec
-
-
-def _kernel_from_config(cfg, bandwidth):
-    return Kernel.from_spec(_weight_spec_from_config(cfg, bandwidth))
+    return Kernel.from_spec(spec)
 
 
 def _transform_from_config(section):

@@ -181,8 +181,8 @@ def build_gram(kernel, T, N):
 
 def solve(gram, samples, ridge_sigma2=0.0):
     """Solve (R + sigma^2 I) c = x and return the interpolant."""
-    if ridge_sigma2 < 0:
-        raise ValueError(f"ridge_sigma2 must be >= 0, got {ridge_sigma2}")
+    if not 0.0 <= ridge_sigma2 < np.inf:
+        raise ValueError(f"ridge_sigma2 must be finite and >= 0, got {ridge_sigma2}")
     if samples.half_count_N != gram.half_count_N:
         raise ValueError(
             f"sample count mismatch: gram N={gram.half_count_N}, "

@@ -63,9 +63,10 @@ class Kernel:
             raise ValueError(f"bandwidth_B must be positive, got {self.bandwidth_B}")
 
     @classmethod
-    def uniform(cls, bandwidth_B):
-        """Kernel for uniform weights W = 1 over the band: the flat spec G = 1."""
-        return cls.from_spec(WeightSpec(bandwidth_B, 0, 0, np.zeros(1), 1.0))
+    def uniform(cls, bandwidth_B, level=1.0):
+        """Kernel of the flat spec G = level over the band: uniform weights
+        W = 1 at the default level, a flat density S = level otherwise."""
+        return cls.from_spec(WeightSpec(bandwidth_B, 0, 0, np.zeros(1), level))
 
     @classmethod
     def from_spec(cls, spec):

@@ -330,16 +330,12 @@ def fit_weights(target, bandwidth_B, degree_K, half_count_M,
             f"fitted {exc}; raise floor_alpha or smooth the target") from None
 
 
-def weights_from_density(density, bandwidth_B, kind="psd",
-                         degree_K=3, half_count_M=11, floor_alpha=None):
-    """Fit weights whose reciprocal tracks a PSD or squared filter response.
-
-    With ``kind="psd"`` the reciprocal weight approximates the power
-    spectral density S (so W = 1/S); with ``kind="filter_magnitude_sq"``
-    it approximates |H|^2. Numerically both are an identity-transform fit.
+def weights_from_density(density, bandwidth_B, degree_K=3, half_count_M=11,
+                         floor_alpha=None):
+    """Fit weights whose reciprocal tracks a density: a power spectral density
+    S (so W = 1/S) or a squared filter response |H|^2, by an identity-transform
+    fit.
     """
-    if kind not in ("psd", "filter_magnitude_sq"):
-        raise ValueError(f"unknown density kind {kind!r}")
     if np.min(density.values) <= 0:
         raise WeightFitError(
             "density contains a zero: the weight would be unbounded, "

@@ -71,6 +71,16 @@ class TestWeightedBound:
         with pytest.raises(InfeasibleBallError):
             weighted_pointwise_bound(interp, D, np.zeros(1))
 
+    def test_nonfinite_or_negative_radius_rejected(self, lowpass_kernel,
+                                                   lowfreq_signal):
+        # -D would pass as D^2 and a NaN or infinite D would give NaN bounds
+        interp, _ = make_interp(lowpass_kernel, lowfreq_signal, 1.0 / B, 8)
+        D = 1.5 * np.sqrt(wnorm_sq(interp))
+        for bad in (np.nan, np.inf, -D):
+            with pytest.raises(ValueError, match="norm budget D") as info:
+                weighted_pointwise_bound(interp, bad, np.zeros(1))
+            assert not isinstance(info.value, InfeasibleBallError)
+
     def test_bound_holds_for_kernel_mixture_truths(self, lowpass_kernel):
         # truths with known norm: z = sum a_k psi(. - tau_k), |z|_W^2 = a' Psi a
         T, N = 1.0 / B, 10
@@ -135,6 +145,15 @@ class TestShannonBound:
         samples = SampleSet(0.5, np.array([1.0, -2.0, 0.5]))
         with pytest.raises(InfeasibleBallError):
             shannon_pointwise_bound(samples, 0.1, np.zeros(1))
+
+    def test_nonfinite_or_negative_energy_rejected(self):
+        samples = SampleSet(0.5, np.array([1.0, -2.0, 0.5]))
+        for bad in (np.nan, np.inf, -10.0):
+            with pytest.raises(ValueError, match="energy budget E") as info:
+                shannon_pointwise_bound(samples, bad, np.zeros(1))
+            assert not isinstance(info.value, InfeasibleBallError)
+            with pytest.raises(ValueError, match="energy budget E"):
+                minimax_worstcase(samples, bad, t=0.3, tail_range=50)
 
 
 class TestSincPartition:

@@ -204,13 +204,17 @@ class TestBoundsCommand:
     ("kernel", {"weights": {"matched": {"degree_k": -1}}}),
     ("fit", {"fit": {"density_csv": "density.csv", "half_count_m": -1}}),
     ("fit", {"fit": {"density_csv": "density.csv", "floor_alpha": -1.0}}),
+    ("bounds", {"ball_radius": float("nan")}),
+    ("bounds", {"ball_radius": float("inf")}),
+    ("bounds", {"ball_radius": -6.0}),
+    ("compare", {"ridge_sigma2": float("nan")}),
 ])
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, overrides):
     om = np.linspace(-2 * np.pi, 2 * np.pi, 201)
     (tmp_path / "density.csv").write_text(
         "omega,value\n" + "".join(f"{o!r},1.0\n" for o in om.tolist()))
-    cfg = write_config(tmp_path, ball_radius=10.0, mc={"realizations": 4},
-                       **overrides)
+    cfg = write_config(tmp_path, **{"ball_radius": 10.0,
+                                    "mc": {"realizations": 4}, **overrides})
     out = tmp_path / "out"
     assert run_cli([command, "--config", str(cfg), "--output-dir", str(out),
                     "--quiet"]) == 2

@@ -186,6 +186,13 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(gram, SampleSet(1.0, np.ones(7)), ridge_sigma2=-1.0)
 
+    def test_nonfinite_ridge_rejected(self):
+        kernel, samples = nyquist_setup()
+        gram = build_gram(kernel, samples.spacing_T, samples.half_count_N)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="ridge_sigma2"):
+                solve(gram, samples, ridge_sigma2=bad)
+
 
 class TestEvaluate:
     def test_node_exactness(self, lowpass_kernel, lowfreq_signal):

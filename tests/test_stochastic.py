@@ -19,15 +19,26 @@ def lowpass_psd(lowpass_spec):
 
 
 class TestPSDModel:
-    def test_exactly_one_source(self, lowpass_spec):
-        with pytest.raises(ValueError):
-            PSDModel(bandwidth_B=B)
-        with pytest.raises(ValueError):
-            PSDModel(bandwidth_B=B, spec=lowpass_spec, uniform_level=1.0)
+    def test_constructors_return_the_kernel(self, lowpass_spec, tabulated_psd):
+        # a PSD is the kernel of W = 1/S (dataclass equality also compares the
+        # class); PSDModel only names its constructors
+        assert PSDModel.from_weight_spec(lowpass_spec) == Kernel.from_spec(lowpass_spec)
+        assert PSDModel.uniform(B, 0.7) == Kernel.uniform(B, 0.7)
+        assert tabulated_psd == Kernel.from_grid(B, tabulated_psd.grid)
+
+    def test_exactly_one_source(self, lowpass_spec, tabulated_psd):
+        # each density lands in one kernel variant; a flat level is the flat spec
+        spec_psd = PSDModel.from_weight_spec(lowpass_spec)
+        assert spec_psd.spec is lowpass_spec and spec_psd.grid is None
+        flat = PSDModel.uniform(B, level=0.7)
+        assert flat.grid is None
+        assert (flat.spec.degree_K, flat.spec.half_count_M, flat.spec.floor_alpha) == (0, 0, 0.7)
+        np.testing.assert_array_equal(flat.spec.coeffs_d, [0.0])
+        assert tabulated_psd.spec is None and tabulated_psd.grid is not None
 
     def test_bandwidth_checked_by_the_kernel(self, lowpass_spec):
         with pytest.raises(ValueError, match="bandwidth"):
-            PSDModel(bandwidth_B=2.0 * B, spec=lowpass_spec)
+            Kernel(bandwidth_B=2.0 * B, spec=lowpass_spec)
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError, match="bandwidth"):
                 PSDModel.uniform(bad, 1.0)
@@ -35,41 +46,28 @@ class TestPSDModel:
                 PSDModel.from_grid(bad, DensityGrid([0.0, 1.0], [1.0, 2.0]))
 
     def test_uniform_level_positive(self):
-        with pytest.raises(ValueError):
-            PSDModel.uniform(B, 0.0)
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                PSDModel.uniform(B, bad)
+            with pytest.raises(ValueError):
+                Kernel.uniform(B, bad)
 
     def test_grid_positive(self):
         om = np.linspace(-2, 2, 11)
-        with pytest.raises(ValueError):
-            PSDModel.from_grid(B, DensityGrid(om, np.zeros(11)))
-
-    def test_values_dispatch(self, lowpass_spec, lowpass_psd):
-        om = np.linspace(-3, 3, 7)
-        np.testing.assert_array_equal(lowpass_psd.values(om),
-                                      inverse_weight_eval(lowpass_spec, om))
-        assert PSDModel.uniform(B, 2.5).values(om)[0] == 2.5
+        for values in (np.zeros(11), np.abs(np.linspace(-1.0, 1.0, 11))):
+            with pytest.raises(ValueError, match="bounded away from zero"):
+                PSDModel.from_grid(B, DensityGrid(om, values))
 
     def test_values_are_bitwise_the_density(self, lowpass_spec, tabulated_psd):
-        # on the synthesis midpoint grid each variant reads exactly its source
+        # on the synthesis midpoint grid each kernel's reciprocal weight reads
+        # exactly its source density
         om = (np.arange(SYNTHESIS_GRID_SIZE) + 0.5) * (2 * np.pi * B / SYNTHESIS_GRID_SIZE)
         grid = tabulated_psd.grid
         pairs = [(PSDModel.from_weight_spec(lowpass_spec), inverse_weight_eval(lowpass_spec, om)),
                  (tabulated_psd, np.interp(om, grid.omegas, grid.values)),
                  (PSDModel.uniform(B, 0.7), np.full(om.shape, 0.7))]
         for psd, expected in pairs:
-            assert psd.values(om).tobytes() == expected.tobytes()
-
-
-    def test_matched_kernel_built_once(self, lowpass_spec, tabulated_psd):
-        for psd in (PSDModel.uniform(B, 0.7), PSDModel.from_weight_spec(lowpass_spec),
-                    tabulated_psd):
-            assert psd.matched_kernel() is psd.matched_kernel()
-        flat = PSDModel.uniform(B, 0.7)
-        kernel = flat.matched_kernel()
-        om = np.linspace(-3, 3, 7)
-        flat.values(om)
-        assert flat.matched_kernel() is kernel
-        assert flat == PSDModel.uniform(B, 0.7)
+            assert psd.reciprocal(om).tobytes() == expected.tobytes()
 
 
 class TestAutocorrelation:
@@ -167,12 +165,8 @@ def _reference_row(psd, kind, T, N, t_eval):
             B, DensityGrid([0.0, edge], [1.0, 1.0]), tau)
     elif psd.spec is not None:
         transform = lambda tau: spec_transform_reference(psd.spec, tau)
-    elif psd.grid is not None:
-        transform = lambda tau: tabulated_transform_reference(B, psd.grid, tau)
     else:
-        level = psd.uniform_level
-        transform = lambda tau: tabulated_transform_reference(
-            B, DensityGrid([0.0, edge], [level, level]), tau)
+        transform = lambda tau: tabulated_transform_reference(B, psd.grid, tau)
     nodes = n * T
     return np.linalg.solve(transform(nodes[:, None] - nodes[None, :]),
                            transform(t_eval - nodes))
@@ -191,7 +185,7 @@ class TestTabulatedPSD:
         rng = np.random.default_rng(12)
         samples = SampleSet(0.7, rng.standard_normal(15))
         t = np.linspace(-6, 6, 37)
-        gram = build_gram(tabulated_psd.matched_kernel(), samples.spacing_T,
+        gram = build_gram(tabulated_psd, samples.spacing_T,
                           samples.half_count_N)
         np.testing.assert_array_equal(lmmse_interpolate(samples, tabulated_psd, t),
                                       evaluate(solve(gram, samples), t))
@@ -214,7 +208,7 @@ class TestTabulatedPSD:
     @pytest.mark.parametrize("source", ["spec", "grid", "flat"])
     def test_predictor_row_is_the_cardinals(self, request, source, kind):
         psd = request.getfixturevalue(REPLAY_PSDS[source])
-        kern = Kernel.uniform(B) if kind == "uniform_weight" else psd.matched_kernel()
+        kern = Kernel.uniform(B) if kind == "uniform_weight" else psd
         for T, N, t_eval in ((0.8, 5, 0.37), (0.4, 7, -1.15), (0.5, 3, 1.0)):
             gram = build_gram(kern, T, N)
             row = _predictor_row(psd, kind, T, N, t_eval)

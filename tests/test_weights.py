@@ -276,8 +276,8 @@ class TestWeightsFromDensity:
     def test_uniform_psd(self):
         gamma_sq = 2.5
         grid = DensityGrid(band_grid(801), np.full(801, gamma_sq))
-        spec = weights_from_density(grid, B, kind="psd", degree_K=1,
-                                    half_count_M=28, floor_alpha=0.0)
+        spec = weights_from_density(grid, B, degree_K=1, half_count_M=28,
+                                    floor_alpha=0.0)
         om = band_grid(401)
         inner = om[np.abs(om) <= 0.8 * EDGE]
         w = 1.0 / inverse_weight_eval(spec, inner)
@@ -296,11 +296,6 @@ class TestWeightsFromDensity:
         z = np.maximum(0.0, 1.0 - np.abs(om) / (0.5 * EDGE))
         with pytest.raises(WeightFitError, match="zero"):
             weights_from_density(DensityGrid(om, z), B)
-
-    def test_unknown_kind_rejected(self):
-        grid = DensityGrid(band_grid(101), np.ones(101))
-        with pytest.raises(ValueError, match="kind"):
-            weights_from_density(grid, B, kind="spectrogram")
 
 
 class TestDensityGrid:
