@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interpolate import _cardinal_values, truncated_shannon, wnorm_sq
+from .interpolate import _cardinal_halves, truncated_shannon, wnorm_sq
 
 POWER_CLAMP = 1e-12
 FEASIBILITY_RTOL = 1e-9
@@ -65,16 +65,18 @@ def power_function(gram, t):
     """Power function P(t) >= 0 of the Gram system, zero at the nodes.
 
     The kernel values v[:, j] = psi(t_j - nT) and the cardinal values
-    u = R^{-1} v come from `interpolate._cardinal_values`. P^2 keeps the
-    second-order form ``psi0 - 2 u.v + u.R u``, whose terms cancel at the
-    nodes. The result has the shape of ``t`` (at least 1-d).
+    u = R^{-1} v come from `interpolate._cardinal_halves`, folded into the
+    even and odd halves E, O of R: v = (v+, v-) and u = (a, b) with
+    a = E^{-1} v+ and b = O^{-1} v-. P^2 keeps the second-order form
+    ``psi0 - 2 (a.v+ + b.v-) + a.E a + b.O b``, which is
+    ``psi0 - 2 u.v + u.R u`` in the orthonormal fold and whose terms cancel
+    at the nodes. The result has the shape of ``t`` (at least 1-d).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    u, v = _cardinal_values(gram, t.ravel())
+    (even, v_even, a), (odd, v_odd, b) = _cardinal_halves(gram, t.ravel())
     psi0 = gram.kernel.psi0
-    # u.v is formed row-major, so that the axis-0 sum adds it row by row
-    p2 = (psi0 - 2.0 * np.sum(np.multiply(u, v, order="C"), axis=0)
-          + np.sum(u * (gram.dense @ u), axis=0))
+    p2 = (psi0 - 2.0 * (_column_dot(a, v_even) + _column_dot(b, v_odd))
+          + _column_dot(a, even @ a) + _column_dot(b, odd @ b))
     floor = -POWER_CLAMP * max(1.0, abs(psi0))
     if np.any(p2 < floor):
         raise NegativePowerError(
@@ -156,6 +158,11 @@ def minimax_worstcase(samples, E, t, tail_range=10_000, phase=0.0):
                             constant=constant, attained_error=float(attained),
                             analytic_error=float(analytic),
                             truncation_deficit=float(deficit))
+
+
+def _column_dot(x, y):
+    # formed row-major, so that the axis-0 sum adds it row by row
+    return np.sum(np.multiply(x, y, order="C"), axis=0)
 
 
 def _check_budget(name, value):

@@ -181,6 +181,9 @@ def mc(config_path, output_dir, seed, quiet):
     if not isinstance(mc_cfg, dict):
         raise ConfigError("mc commands need an 'mc' config section")
     realizations = int(mc_cfg.get("realizations", 1000))
+    if realizations < 2:
+        # the standard error needs two draws or more
+        raise ConfigError(f"mc.realizations must be >= 2, got {realizations}")
     t_eval = float(mc_cfg.get("eval_time_s", 0.5 * T))
     kinds = mc_cfg.get("kinds", list(MSE_KINDS))
     if not kinds or any(k not in MSE_KINDS for k in kinds):

@@ -6,6 +6,14 @@ come from the symmetric positive-definite Toeplitz system ``R c = x`` with
 ``R[m, n] = psi((m - n) T)``, optionally ridge-stabilized to
 ``(R + sigma^2 I) c = x`` for noisy samples. Logical indices are stored at
 array offsets 0..2N throughout.
+
+R is centrosymmetric (it commutes with the reversal n -> -n), so in the
+orthonormal basis of delta_0, (delta_j + delta_-j)/sqrt2 and
+(delta_j - delta_-j)/sqrt2 (j = 1..N) it is block diagonal: an even block of
+size N+1 and an odd block of size N (Cantoni & Butler, Linear Algebra Appl.
+13, 1976). Every system is solved by folding its right-hand side into these
+coordinates (`_fold`), solving in each half and unfolding: a quarter of the
+Cholesky work of R and half of each solve.
 """
 
 import csv
@@ -18,6 +26,7 @@ from scipy.linalg.lapack import dpocon
 from .kernel import psi_closed_form, shannon_kernel
 
 SOLVER_RTOL = 1e-9
+_SQRT_HALF = np.sqrt(0.5)
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -103,9 +112,11 @@ class GramMatrix:
     """Kernel Gram system for one (kernel, T, N) configuration.
 
     ``dense`` is the symmetric Toeplitz matrix psi((m - n) T). ``cholesky``
-    holds its lower factor, or None when it is not numerically positive
-    definite; every use goes through `factor`, which then raises. The
-    condition estimate is computed only when read (`condition_estimate`).
+    holds its even and odd halves (`_halves`), each as a pair of the block
+    and its lower Cholesky factor, or None when either half is not
+    numerically positive definite; every use goes through `factor`, which
+    then raises. The condition estimate is computed only when read
+    (`condition_estimate`).
     """
 
     kernel: object
@@ -124,12 +135,25 @@ class GramMatrix:
 
     @property
     def condition_estimate(self):
-        """1-norm estimate 1/rcond from the factor (LAPACK ``dpocon``), or
-        without a factor the ratio of extreme |eigenvalues| of ``dense``."""
+        """1-norm estimate of ``|R| |R^-1|``, or without a factor the ratio of
+        extreme |eigenvalues| of the two halves.
+
+        ``|R^-1|`` is estimated as the larger inverse norm of the halves
+        (LAPACK ``dpocon`` on each half factor); the orthonormal fold changes
+        a 1-norm by at most a factor 2.
+        """
         if self.cholesky is not None:
-            rcond, _ = dpocon(self.cholesky[0], np.linalg.norm(self.dense, 1), uplo="L")
-            return float("inf") if rcond == 0.0 else 1.0 / rcond
-        eigs = np.abs(np.linalg.eigvalsh(self.dense))
+            inverse_norm = 0.0
+            for block, (chol, _) in self.cholesky:
+                if block.size:  # dpocon rejects the empty odd block of N = 0
+                    block_norm = np.linalg.norm(block, 1)
+                    rcond, _ = dpocon(chol, block_norm, uplo="L")
+                    if rcond == 0.0:
+                        return float("inf")
+                    inverse_norm = max(inverse_norm, 1.0 / (rcond * block_norm))
+            return float(np.linalg.norm(self.dense, 1) * inverse_norm)
+        eigs = np.abs(np.concatenate(
+            [np.linalg.eigvalsh(block) for block in _halves(self.dense)]))
         return float("inf") if np.min(eigs) == 0.0 else float(np.max(eigs) / np.min(eigs))
 
     @property
@@ -138,7 +162,8 @@ class GramMatrix:
         return self.dense[0]
 
     def factor(self):
-        """Cholesky factor for `cho_solve`, or `NotPositiveDefiniteError`."""
+        """The (block, Cholesky factor) pairs of the even and odd halves, or
+        `NotPositiveDefiniteError`."""
         if self.cholesky is None:
             cond = self.condition_estimate
             raise NotPositiveDefiniteError(
@@ -159,28 +184,29 @@ class Interpolant:
 
 
 def build_gram(kernel, T, N):
-    """Assemble the Gram matrix of kernel values psi((m - n) T).
+    """Assemble the Gram matrix of kernel values psi((m - n) T) and factor
+    its even and odd halves.
 
     Never fails on a matrix that does not factor: `NotPositiveDefiniteError`
     surfaces at the first use of the factor (`solve` without ridge,
     `cardinal`, `power_function`); a ridged `solve` needs only R + sigma^2 I.
     """
-    if T <= 0:
-        raise ValueError(f"spacing T must be positive, got {T}")
+    if not 0 < T < np.inf:
+        raise ValueError(f"spacing T must be finite and positive, got {T}")
     if N < 0:
         raise ValueError(f"half count N must be >= 0, got {N}")
     dense = toeplitz(psi_closed_form(kernel, np.arange(2 * N + 1) * T))
-    try:
-        factor = cho_factor(dense, lower=True)
-    except np.linalg.LinAlgError:
-        factor = None
     dense.setflags(write=False)
     return GramMatrix(kernel=kernel, spacing_T=T, half_count_N=N, dense=dense,
-                      cholesky=factor)
+                      cholesky=_factor_halves(_halves(dense)))
 
 
 def solve(gram, samples, ridge_sigma2=0.0):
-    """Solve (R + sigma^2 I) c = x and return the interpolant."""
+    """Solve (R + sigma^2 I) c = x and return the interpolant.
+
+    The ridge adds sigma^2 to the diagonal of each half, which the orthonormal
+    fold leaves as it is.
+    """
     if not 0.0 <= ridge_sigma2 < np.inf:
         raise ValueError(f"ridge_sigma2 must be finite and >= 0, got {ridge_sigma2}")
     if samples.half_count_N != gram.half_count_N:
@@ -190,16 +216,17 @@ def solve(gram, samples, ridge_sigma2=0.0):
     if not np.isclose(samples.spacing_T, gram.spacing_T, rtol=1e-12, atol=0.0):
         raise ValueError("sample spacing does not match the Gram system")
     if ridge_sigma2 > 0:
-        try:
-            factor = cho_factor(gram.dense + ridge_sigma2 * np.eye(gram.size),
-                                lower=True)
-        except np.linalg.LinAlgError:
+        blocks = _halves(gram.dense)
+        for block in blocks:
+            block[np.diag_indices_from(block)] += ridge_sigma2
+        halves = _factor_halves(blocks)
+        if halves is None:
             raise NotPositiveDefiniteError(
                 "ridge-augmented Gram matrix failed to factor",
-                condition_estimate=gram.condition_estimate) from None
+                condition_estimate=gram.condition_estimate)
     else:
-        factor = gram.factor()
-    c = _cho_solve_any(factor, samples.values)
+        halves = gram.factor()
+    c = _solve_halves(halves, samples.values)
     c.setflags(write=False)
     return Interpolant(gram=gram, coeffs_c=c, ridge_sigma2=ridge_sigma2)
 
@@ -215,9 +242,10 @@ def cardinal_coeffs(gram, n):
     N = gram.half_count_N
     if abs(n) > N:
         raise IndexError(f"|n| must be <= {N}, got {n}")
+    halves = gram.factor()
     e = np.zeros(gram.size)
     e[n + N] = 1.0
-    return cho_solve(gram.factor(), e)
+    return _solve_halves(halves, e)
 
 
 def cardinal(gram, n, t):
@@ -243,16 +271,84 @@ def shift_invariant_approx(gram, samples, t):
 
 
 def _cardinal_values(gram, t):
-    """Kernel values v = psi(t - nT) and cardinals u = R^{-1} v, shape (2N+1,) + t.shape.
-
-    The factor comes first: a Gram that does not factor raises before any psi.
-    """
-    factor = gram.factor()
+    """Cardinal values u = R^{-1} v of the kernel values v = psi(t - nT), with
+    shape (2N+1,) + t.shape."""
     t = np.asarray(t, dtype=float)
+    (_, _, u_even), (_, _, u_odd) = _cardinal_halves(gram, t.ravel())
+    return _unfold(u_even, u_odd).reshape((gram.size,) + t.shape)
+
+
+def _cardinal_halves(gram, t):
+    """(block, folded v, folded u) for the even and the odd half, at 1-d ``t``.
+
+    v = psi(t - nT) and u = R^{-1} v in the coordinates of `_fold`, so that in
+    each half u = block^{-1} v, each of shape (half size, t.size). The factor
+    comes first: a Gram that does not factor raises before any psi.
+    """
+    halves = gram.factor()
+    if not np.all(np.isfinite(t)):
+        raise ValueError("evaluation times must be finite")
     v = np.moveaxis(_kernel_matrix(gram.kernel, t, gram.spacing_T, gram.half_count_N),
                     -1, 0)
-    u = cho_solve(factor, v.reshape(gram.size, -1)).reshape(v.shape)
-    return u, v
+    return [(block, part, cho_solve(factor, part, check_finite=False))
+            for (block, factor), part in zip(halves, _fold(v))]
+
+
+def _halves(dense):
+    """Even and odd blocks E, O of the centrosymmetric Gram matrix R, as new arrays.
+
+    With r_k = psi(kT): ``E[i, j] = r_|i-j| + r_(i+j)`` for i, j = 0..N, except
+    that row and column 0 are ``sqrt2 r_j`` and ``E[0, 0] = r_0``; and
+    ``O[i, j] = r_|i-j| - r_(i+j)`` for i, j = 1..N. Both are read off R:
+    ``R[N + i, N - j]`` is r_(i+j).
+    """
+    N = dense.shape[0] // 2
+    even = dense[N:, N:] + dense[N:, N::-1]
+    even[0, 1:] *= _SQRT_HALF
+    even[1:, 0] *= _SQRT_HALF
+    even[0, 0] = dense[N, N]
+    odd = dense[N + 1:, N + 1:] - dense[N + 1:, :N][:, ::-1]
+    return even, odd
+
+
+def _factor_halves(blocks):
+    """(block, lower Cholesky factor) for each block, or None when one of
+    them is not numerically positive definite."""
+    try:
+        return [(block, cho_factor(block, lower=True, check_finite=False))
+                for block in blocks]
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _fold(x):
+    """Coordinates of x (axis 0 over n = -N..N) in the even and odd bases:
+    x_0 and (x_j + x_-j)/sqrt2, and (x_j - x_-j)/sqrt2, for j = 1..N."""
+    N = x.shape[0] // 2
+    up, down = x[N + 1:], x[:N][::-1]
+    even = np.empty((N + 1,) + x.shape[1:], dtype=x.dtype)
+    even[0] = x[N]
+    np.add(up, down, out=even[1:])
+    even[1:] *= _SQRT_HALF
+    odd = up - down
+    odd *= _SQRT_HALF
+    return even, odd
+
+
+def _unfold(even, odd):
+    """The x over n = -N..N (axis 0) whose `_fold` is (even, odd)."""
+    up = even[1:] + odd
+    up *= _SQRT_HALF
+    down = even[1:] - odd
+    down *= _SQRT_HALF
+    return np.concatenate([down[::-1], even[:1], up])
+
+
+def _solve_halves(halves, x):
+    """R^{-1} x for real or complex x over n = -N..N on axis 0, one
+    Cholesky solve per half of `_fold(x)`."""
+    return _unfold(*(_cho_solve_any(factor, part)
+                     for (_, factor), part in zip(halves, _fold(x))))
 
 
 def _expand(kernel, T, N, coeffs, t):
@@ -351,5 +447,6 @@ def node_residual(interp, samples):
 
 def _cho_solve_any(factor, rhs):
     if np.iscomplexobj(rhs):
-        return cho_solve(factor, rhs.real).astype(complex) + 1j * cho_solve(factor, rhs.imag)
-    return cho_solve(factor, rhs)
+        return (cho_solve(factor, rhs.real, check_finite=False).astype(complex)
+                + 1j * cho_solve(factor, rhs.imag, check_finite=False))
+    return cho_solve(factor, rhs, check_finite=False)

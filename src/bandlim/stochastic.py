@@ -100,6 +100,8 @@ def squared_errors(psd, interpolator_kind, T, N, t_eval, realizations, seed,
     if realizations < 1:
         raise ValueError(f"realizations must be >= 1, got {realizations}")
     t_eval = float(t_eval)
+    if not np.isfinite(t_eval):
+        raise ValueError(f"t_eval must be finite, got {t_eval}")
     weights = np.append(_predictor_row(psd, interpolator_kind, T, N, t_eval), -1.0)
     cos_t, sin_t = _synthesis_basis(psd, np.append(np.arange(-N, N + 1) * T, t_eval),
                                     nfreq)
@@ -120,7 +122,7 @@ def _predictor_row(psd, kind, T, N, t_eval):
     if kind == "shannon":
         return np.sinc(t_eval / T - np.arange(-N, N + 1))
     kern = Kernel.uniform(psd.bandwidth_B) if kind == "uniform_weight" else psd
-    return _cardinal_values(build_gram(kern, T, N), t_eval)[0]
+    return _cardinal_values(build_gram(kern, T, N), t_eval)
 
 
 def _synthesis_basis(psd, t, nfreq):

@@ -34,6 +34,13 @@ class TestPowerFunction:
                                       power_function(gram, t).reshape(2, 3))
         assert power_function(gram, 0.25).shape == (1,)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, lowpass_kernel, bad):
+        # the solves skip scipy's finiteness scan, so the times are checked first
+        gram = build_gram(lowpass_kernel, 1.0 / B, 6)
+        with pytest.raises(ValueError, match="evaluation times must be finite"):
+            power_function(gram, [0.25, bad])
+
     def test_uniform_critical_matches_sinc_formula(self):
         # substituting sinc cardinals gives P = sqrt((1 - sum sinc^2)/T)
         T, N = 0.5, 7

@@ -234,6 +234,28 @@ def test_negative_matched_half_count_names_the_key(tmp_path, capsys):
 
 
 class TestMCCommand:
+    @pytest.mark.parametrize("realizations", [1, 0])
+    def test_fewer_than_two_realizations_name_the_key(self, tmp_path, capsys,
+                                                      realizations):
+        # one draw has no standard error
+        cfg = write_config(tmp_path, mc={"realizations": realizations})
+        out = tmp_path / "out"
+        assert run_cli(["mc", "--config", str(cfg), "--output-dir", str(out),
+                        "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: mc.realizations must be >= 2, got {realizations}\n")
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("eval_time", [float("nan"), float("inf")])
+    def test_non_finite_eval_time_names_the_value(self, tmp_path, capsys, eval_time):
+        cfg = write_config(tmp_path, mc={"realizations": 4, "eval_time_s": eval_time})
+        out = tmp_path / "out"
+        assert run_cli(["mc", "--config", str(cfg), "--output-dir", str(out),
+                        "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: t_eval must be finite, got {eval_time}\n")
+        assert not out.exists() or not list(out.iterdir())
+
     def test_fixed_seed_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, mc={"realizations": 60, "eval_time_s": 0.5})
         outs = []

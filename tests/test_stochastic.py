@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
@@ -296,3 +298,15 @@ class TestEmpiricalMSE:
     def test_unknown_kind_rejected(self, lowpass_psd):
         with pytest.raises(ValueError):
             empirical_mse(lowpass_psd, "cubic", 1.0, 5, 0.5, 10, 1)
+
+    @pytest.mark.parametrize("kind", MSE_KINDS)
+    @pytest.mark.parametrize("t_eval", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eval_time_rejected_before_any_evaluation(self, lowpass_psd,
+                                                                  kind, t_eval):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("evaluated before t_eval was checked")
+
+        with patch("bandlim.interpolate.psi_closed_form", unreachable), \
+                patch("bandlim.stochastic._synthesis_basis", unreachable), \
+                pytest.raises(ValueError, match=f"t_eval must be finite, got {t_eval}"):
+            squared_errors(lowpass_psd, kind, 1.0, 5, t_eval, 10, 1)
