@@ -15,9 +15,8 @@ from .bounds import (BoundReport, InfeasibleBallError, MinimaxAdversary,
                      weighted_pointwise_bound)
 from .interpolate import (GramMatrix, Interpolant, NotPositiveDefiniteError,
                           SampleSet, build_gram, cardinal, cardinal_coeffs,
-                          evaluate, node_residual, shift_invariant_approx,
-                          solve, truncated_shannon, wnorm_sq,
-                          write_evaluations_csv)
+                          evaluate, node_residual, solve, truncated_shannon,
+                          wnorm_sq)
 from .kernel import Kernel, psi_closed_form, psi_quadrature, shannon_kernel
 from .quadrature import QuadratureError, adaptive_simpson
 from .signals import AnalyticSignal, eval_signal, matched_weights, sample_signal, spectrum
@@ -39,8 +38,8 @@ __all__ = [
     "inverse_weight_eval", "lmmse_interpolate", "matched_weights",
     "minimax_worstcase", "node_residual", "normalized", "power_function",
     "power_transform", "psi_closed_form", "psi_quadrature", "sample_signal",
-    "shannon_kernel", "shannon_pointwise_bound", "shift_invariant_approx",
-    "sinc_partition_check", "solve", "spectrum", "squared_errors",
-    "synthesize_process", "truncated_shannon", "weighted_pointwise_bound",
-    "weights_from_density", "wnorm_sq", "write_evaluations_csv",
+    "shannon_kernel", "shannon_pointwise_bound", "sinc_partition_check",
+    "solve", "spectrum", "squared_errors", "synthesize_process",
+    "truncated_shannon", "weighted_pointwise_bound", "weights_from_density",
+    "wnorm_sq",
 ]

@@ -70,10 +70,14 @@ def power_function(gram, t):
     a = E^{-1} v+ and b = O^{-1} v-. P^2 keeps the second-order form
     ``psi0 - 2 (a.v+ + b.v-) + a.E a + b.O b``, which is
     ``psi0 - 2 u.v + u.R u`` in the orthonormal fold and whose terms cancel
-    at the nodes. The result has the shape of ``t`` (at least 1-d).
+    at the nodes. The kernel is even and the nodes are symmetric about 0, so
+    P(-t) = P(t): P is evaluated once per distinct |t| and then spread back,
+    and a grid symmetric about 0 costs half the solves. The result has the
+    shape of ``t`` (at least 1-d).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    (even, v_even, a), (odd, v_odd, b) = _cardinal_halves(gram, t.ravel())
+    s, back = np.unique(np.abs(t.ravel()), return_inverse=True)
+    (even, v_even, a), (odd, v_odd, b) = _cardinal_halves(gram, s)
     psi0 = gram.kernel.psi0
     p2 = (psi0 - 2.0 * (_column_dot(a, v_even) + _column_dot(b, v_odd))
           + _column_dot(a, even @ a) + _column_dot(b, odd @ b))
@@ -82,7 +86,7 @@ def power_function(gram, t):
         raise NegativePowerError(
             f"squared power function reached {float(np.min(p2)):.3e}, below the "
             f"roundoff floor {floor:.3e}; the Gram system is too ill-conditioned")
-    return np.sqrt(np.maximum(p2, 0.0)).reshape(t.shape)
+    return np.sqrt(np.maximum(p2, 0.0))[back].reshape(t.shape)
 
 
 def weighted_pointwise_bound(interp, D, t_grid):

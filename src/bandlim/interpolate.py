@@ -254,22 +254,6 @@ def cardinal(gram, n, t):
                    cardinal_coeffs(gram, n), t)
 
 
-def shift_invariant_approx(gram, samples, t):
-    """Approximate interpolant using only shifts of the center cardinal.
-
-    Evaluates ``sum_n x[n] u_0(t - n T)``; exact at the nodes and close to
-    the full solve away from the window edges, at the cost of a single
-    inverse-row computation. Since ``u_0`` is itself a kernel expansion, the
-    sum is one expansion over nodes -2N..2N whose coefficients are the
-    convolution of the samples with the center cardinal's coefficients.
-    """
-    if samples.half_count_N != gram.half_count_N:
-        raise ValueError("sample count mismatch with the Gram system")
-    N = gram.half_count_N
-    coeffs = np.convolve(samples.values, cardinal_coeffs(gram, 0))
-    return _expand(gram.kernel, gram.spacing_T, 2 * N, coeffs, t)
-
-
 def _cardinal_values(gram, t):
     """Cardinal values u = R^{-1} v of the kernel values v = psi(t - nT), with
     shape (2N+1,) + t.shape."""
@@ -418,19 +402,6 @@ def truncated_shannon(samples, t):
     T = samples.spacing_T
     sinc_mat = shannon_kernel(T, t[..., None] - samples.times)
     return sinc_mat @ samples.values
-
-
-def write_evaluations_csv(path, t, values):
-    """Write interpolant evaluations as CSV rows ``(t, re, im)``."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    values = np.atleast_1d(np.asarray(values))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "re", "im"])
-        for tv, val in zip(t, values):
-            cval = complex(val)
-            writer.writerow([f"{tv:.17g}", f"{cval.real:.17g}",
-                             f"{cval.imag:.17g}"])
 
 
 def wnorm_sq(interp):

@@ -1,3 +1,6 @@
+from collections import namedtuple
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -57,6 +60,51 @@ def random_weight_spec(seed, degree_K=None, half_count_M=None, bandwidth_B=None)
     d = np.concatenate([half[:0:-1], half])
     alpha = float(rng.uniform(0.01, 0.3))
     return WeightSpec(B, K, M, d, alpha)
+
+
+FlatGramReference = namedtuple("FlatGramReference", "dense v u p2")
+
+
+def flat_gram_reference(bandwidth_B, T, N, t):
+    """The Gram pipeline of the flat kernel 2B sinc(2B t) at 50 digits.
+
+    R[m, n] = psi((m - n) T) and v[n, j] = psi(t_j - nT) over n = -N..N,
+    u = R^{-1} v by a Cholesky factorization of the full R (not its halves)
+    and P^2 = psi(0) - u.v, each rounded to float64 at the end. B, T and t
+    enter as their exact binary values, so the reference carries no float64
+    rounding of its own before that last step.
+    """
+    with mpmath.workdps(50):
+        two_b, step = 2 * mpmath.mpf(bandwidth_B), mpmath.mpf(T)
+
+        def psi(x):
+            return two_b * mpmath.sincpi(two_b * x)
+
+        size = 2 * N + 1
+        lags = [psi(k * step) for k in range(size)]
+        chol = mpmath.cholesky(mpmath.matrix(
+            [[lags[abs(i - j)] for j in range(size)] for i in range(size)]))
+        rows = [[chol[i, j] for j in range(i + 1)] for i in range(size)]
+        v, u, p2 = [], [], []
+        for tv in np.asarray(t, dtype=float).ravel():
+            col = [psi(mpmath.mpf(float(tv)) - n * step) for n in range(-N, N + 1)]
+            y = []
+            for i in range(size):
+                y.append((col[i] - mpmath.fdot(rows[i][:i], y)) / rows[i][i])
+            x = [None] * size
+            for i in reversed(range(size)):
+                below = [rows[k][i] for k in range(i + 1, size)]
+                x[i] = (y[i] - mpmath.fdot(below, x[i + 1:])) / rows[i][i]
+            v.append(col)
+            u.append(x)
+            p2.append(psi(0) - mpmath.fdot(x, col))
+
+        def to_float(values):
+            return np.array(values, dtype=object).astype(float)
+
+        dense = to_float([[lags[abs(i - j)] for j in range(size)] for i in range(size)])
+        return FlatGramReference(dense=dense, v=to_float(v).T, u=to_float(u).T,
+                                 p2=to_float(p2))
 
 
 def tabulated_transform_reference(bandwidth_B, grid, t, order=12):

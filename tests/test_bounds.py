@@ -1,14 +1,32 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from bandlim import (AnalyticSignal, InfeasibleBallError, Kernel, SampleSet,
                      build_gram, evaluate, eval_signal, minimax_worstcase,
                      power_function, psi_closed_form, sample_signal,
                      shannon_pointwise_bound, sinc_partition_check, solve,
                      weighted_pointwise_bound, wnorm_sq)
+from bandlim.interpolate import _cardinal_values, _kernel_matrix
+from conftest import flat_gram_reference, random_weight_spec
 
 B = 1.0
+EPS = np.finfo(float).eps
+
+# Flat kernel 2B sinc(2Bt) at B = 1, keyed by (N, T*2B): the largest P^2
+# error allowed against the 50-digit reference on `oracle_times`, in units of
+# cond * eps * psi0, with cond the 2-norm condition number of R. Each is twice
+# the error measured when P was still solved once per point, not per distinct
+# |t| (2.99e-2, 6.36e-6, 8.41e-8, 1.78e-9 and 1.13e-6 at cond 71, 3.7e7,
+# 6.8e10, 4.0e12 and 1.7e9); the factor 2 leaves room for another libm or BLAS.
+ORACLE_CASES = {
+    (10, 0.9): 6.0e-2,
+    (10, 0.7): 1.3e-5,
+    (10, 0.6): 1.7e-7,
+    (10, 0.55): 3.6e-9,
+    (12, 0.7): 2.3e-6,
+}
 
 
 def make_interp(kernel, signal, T, N):
@@ -62,6 +80,92 @@ class TestPowerFunction:
             if previous is not None:
                 assert np.all(p2 <= previous + 1e-12 * max(1.0, psi0))
             previous = p2
+
+
+@st.composite
+def even_cases(draw):
+    """A spec or flat kernel, T, N <= 12, and times that hold each point with
+    both signs and once more, shuffled into a 2-d or 3-d shape, with the flat
+    index at which a non-finite value is put."""
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        kernel = Kernel.from_spec(random_weight_spec(seed))
+    else:
+        kernel = Kernel.uniform(draw(st.sampled_from([0.5, 1.0, 2.0])))
+    T = draw(st.floats(0.8, 2.0)) / (2.0 * kernel.bandwidth_B)
+    N = draw(st.integers(0, 12))
+    reach = (N + 2) * T
+    x = draw(arrays(float, array_shapes(max_dims=2, max_side=4),
+                    elements=st.floats(-reach, reach)))
+    t = np.stack([x, -x, x])
+    order = draw(st.permutations(range(t.size)))
+    return kernel, T, N, t.ravel()[order].reshape(t.shape), draw(st.integers(0, t.size - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(even_cases(), st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_power_function_is_even_in_t(case, bad):
+    kernel, T, N, t, bad_at = case
+    gram = build_gram(kernel, T, N)
+    assume(gram.cholesky is not None)
+    cond = gram.condition_estimate
+    assume(cond < 1e8)
+    p = power_function(gram, t)
+    assert p.shape == t.shape
+    assert p.tobytes() == power_function(gram, -t).tobytes()
+    # one point per call takes the direct kernel-matrix path and one-column
+    # solves; 400 cases differed in P^2 by at most 2.5 eps * cond * psi0
+    single = np.array([power_function(gram, [tv])[0] for tv in t.ravel()])
+    np.testing.assert_allclose(p.ravel() ** 2, single ** 2, rtol=0,
+                               atol=8.0 * EPS * cond * kernel.psi0)
+    t[np.unravel_index(bad_at, t.shape)] = bad
+    with pytest.raises(ValueError, match="evaluation times must be finite"):
+        power_function(gram, t)
+
+
+def oracle_times(T, N):
+    """Quarter steps of T over the node window, and 8 seeded off-lattice
+    points with their negatives."""
+    off = np.random.default_rng(7).uniform(0.0, N * T, 8)
+    return np.concatenate([np.arange(-4 * N, 4 * N + 1) * (T / 4), off, -off])
+
+
+@pytest.fixture(scope="module", params=sorted(ORACLE_CASES),
+                ids=lambda case: f"N{case[0]}-T2B{case[1]}")
+def flat_oracle(request):
+    N, ratio = request.param
+    T = ratio / (2.0 * B)
+    t = oracle_times(T, N)
+    ref = flat_gram_reference(B, T, N, t)
+    return request.param, build_gram(Kernel.uniform(B), T, N), t, ref, np.linalg.cond(ref.dense)
+
+
+class TestFiftyDigitOracle:
+    """The flat kernel's Gram pipeline against `flat_gram_reference`."""
+
+    def test_gram_matrix(self, flat_oracle):
+        _, gram, _, ref, _ = flat_oracle
+        assert np.max(np.abs(gram.dense - ref.dense)) <= 4.0 * EPS * gram.kernel.psi0
+
+    def test_kernel_matrix(self, flat_oracle):
+        # rounding t - nT moves psi's argument by eps |t - nT|, and psi has
+        # slope at most 2 pi B psi0
+        _, gram, t, ref, _ = flat_oracle
+        v = _kernel_matrix(gram.kernel, t, gram.spacing_T, gram.half_count_N).T
+        lag = np.abs(t - gram.times[:, None])
+        tol = 8.0 * EPS * gram.kernel.psi0 * (1.0 + 2.0 * np.pi * B * lag)
+        assert np.all(np.abs(v - ref.v) <= tol)
+
+    def test_cardinal_values(self, flat_oracle):
+        # a backward-stable solve: the error is within cond * eps of max|u|
+        _, gram, t, ref, cond = flat_oracle
+        err = np.max(np.abs(_cardinal_values(gram, t) - ref.u))
+        assert err <= 4.0 * cond * EPS * np.max(np.abs(ref.u))
+
+    def test_power_squared(self, flat_oracle):
+        case, gram, t, ref, cond = flat_oracle
+        err = np.max(np.abs(power_function(gram, t) ** 2 - ref.p2))
+        assert err <= ORACLE_CASES[case] * cond * EPS * gram.kernel.psi0
 
 
 class TestWeightedBound:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -71,11 +73,12 @@ def test_partition_of_unity(x, degree):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-def _rectangle_midpoint(x):
+def _rectangle_midpoint(y):
     # degree 0 with the midpoint value at its jumps, where the recurrence
-    # from degree 0 to degree 1 averages the two one-sided limits
-    ax = np.abs(x)
-    return np.where(ax < 0.5, 1.0, np.where(ax == 0.5, 0.5, 0.0))
+    # from degree 0 to degree 1 averages the two one-sided limits; y is an
+    # exact Fraction, since a float x +- 1/2 can round onto a jump (x = 5e-17)
+    half = Fraction(1, 2)
+    return 1.0 if abs(y) < half else 0.5 if abs(y) == half else 0.0
 
 
 @given(st.floats(-7, 7), st.integers(1, 10))
@@ -83,9 +86,11 @@ def test_two_term_recurrence(x, degree):
     # beta_K(x) = [(h + x) beta_{K-1}(x + 1/2) + (h - x) beta_{K-1}(x - 1/2)] / K
     # with h = (K + 1)/2: an independent route to every degree
     lower = _rectangle_midpoint if degree == 1 else (
-        lambda y: bspline_eval(degree - 1, y))
+        lambda y: float(bspline_eval(degree - 1, float(y))))
     h = 0.5 * (degree + 1)
-    expected = ((h + x) * lower(x + 0.5) + (h - x) * lower(x - 0.5)) / degree
+    half = Fraction(1, 2)
+    expected = ((h + x) * lower(Fraction(x) + half)
+                + (h - x) * lower(Fraction(x) - half)) / degree
     assert float(bspline_eval(degree, x)) == pytest.approx(float(expected),
                                                             abs=1e-13)
 

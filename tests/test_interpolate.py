@@ -11,16 +11,12 @@ import bandlim.interpolate as interpolate_module
 from bandlim import (DensityGrid, Kernel, NotPositiveDefiniteError, PSDModel, SampleSet,
                      adaptive_simpson, build_gram, cardinal, cardinal_coeffs,
                      evaluate, inverse_weight_eval, node_residual, power_function,
-                     psi_closed_form, sample_signal, shift_invariant_approx, solve,
-                     squared_errors, truncated_shannon, wnorm_sq)
+                     psi_closed_form, sample_signal, solve, squared_errors,
+                     truncated_shannon, wnorm_sq)
 from bandlim.interpolate import _cardinal_values, _kernel_matrix
 from conftest import random_weight_spec
-B = 1.0
 
-# Pinned at build time: largest deviation of the center-cardinal
-# approximation from the full solve (lowpass weights, N=10, T=1/B, |t|<=5T)
-# measured 1.954e-3.
-SHIFT_INVARIANT_DEVIATION_BOUND = 2.5e-3
+B = 1.0
 
 
 def nyquist_setup(T=0.5, N=6):
@@ -292,8 +288,6 @@ class TestCardinal:
             deviations.append(np.max(np.abs(cardinal(gram, 0, t) - np.sinc(t / T))))
         assert deviations == sorted(deviations, reverse=True)
 
-
-class TestShiftInvariantApprox:
     def test_center_coefficients_solve_kronecker_system(self, lowpass_kernel):
         T, N = 1.0 / B, 10
         gram = build_gram(lowpass_kernel, T, N)
@@ -302,39 +296,6 @@ class TestShiftInvariantApprox:
         expected = np.zeros(2 * N + 1)
         expected[N] = 1.0
         np.testing.assert_allclose(lhs, expected, atol=1e-10)
-
-    def test_exact_at_uniform_critical(self):
-        kernel, samples = nyquist_setup(T=0.4, N=8)
-        gram = build_gram(kernel, 0.4, 8)
-        interp = solve(gram, samples)
-        t = np.linspace(-3, 3, 101)
-        np.testing.assert_allclose(shift_invariant_approx(gram, samples, t),
-                                   evaluate(interp, t), atol=1e-10)
-
-    def test_deviation_within_pinned_bound(self, lowpass_kernel, lowfreq_signal):
-        T, N = 1.0 / B, 10
-        samples = sample_signal(lowfreq_signal, T, N)
-        gram = build_gram(lowpass_kernel, T, N)
-        interp = solve(gram, samples)
-        t = np.linspace(-5 * T, 5 * T, 401)
-        dev = np.max(np.abs(shift_invariant_approx(gram, samples, t)
-                            - evaluate(interp, t)))
-        assert dev <= SHIFT_INVARIANT_DEVIATION_BOUND
-
-
-def test_write_evaluations_csv(tmp_path, lowpass_kernel):
-    samples = SampleSet(1.0, np.array([1 + 2j, 0.5, -1j]))
-    interp = solve(build_gram(lowpass_kernel, 1.0, 1), samples)
-    t = np.linspace(-1, 1, 5)
-    values = evaluate(interp, t)
-    path = tmp_path / "eval.csv"
-    from bandlim import write_evaluations_csv
-    write_evaluations_csv(path, t, values)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,re,im"
-    row = lines[1].split(",")
-    assert float(row[1]) == pytest.approx(values[0].real)
-    assert float(row[2]) == pytest.approx(values[0].imag)
 
 
 class TestTruncatedShannon:
