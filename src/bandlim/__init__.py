@@ -15,8 +15,7 @@ from .bounds import (BoundReport, InfeasibleBallError, MinimaxAdversary,
                      weighted_pointwise_bound)
 from .interpolate import (GramMatrix, Interpolant, NotPositiveDefiniteError,
                           SampleSet, build_gram, cardinal, cardinal_coeffs,
-                          evaluate, node_residual, solve, truncated_shannon,
-                          wnorm_sq)
+                          evaluate, solve, truncated_shannon, wnorm_sq)
 from .kernel import Kernel, psi_closed_form, psi_quadrature, shannon_kernel
 from .quadrature import QuadratureError, adaptive_simpson
 from .signals import AnalyticSignal, eval_signal, matched_weights, sample_signal, spectrum
@@ -24,8 +23,7 @@ from .stochastic import (PSDModel, autocorrelation, empirical_mse,
                          lmmse_interpolate, squared_errors, synthesize_process)
 from .weights import (BandError, DensityGrid, WeightFitError, WeightSpec,
                       fit_weights, gaussian_smooth, identity_transform,
-                      inverse_weight_eval, normalized, power_transform,
-                      weights_from_density)
+                      inverse_weight_eval, normalized, power_transform)
 
 __all__ = [
     "AnalyticSignal", "BandError", "BoundReport", "DensityGrid", "GramMatrix",
@@ -36,10 +34,9 @@ __all__ = [
     "cardinal", "cardinal_coeffs", "empirical_mse", "eval_signal",
     "evaluate", "fit_weights", "gaussian_smooth", "identity_transform",
     "inverse_weight_eval", "lmmse_interpolate", "matched_weights",
-    "minimax_worstcase", "node_residual", "normalized", "power_function",
+    "minimax_worstcase", "normalized", "power_function",
     "power_transform", "psi_closed_form", "psi_quadrature", "sample_signal",
     "shannon_kernel", "shannon_pointwise_bound", "sinc_partition_check",
     "solve", "spectrum", "squared_errors", "synthesize_process",
-    "truncated_shannon", "weighted_pointwise_bound", "weights_from_density",
-    "wnorm_sq",
+    "truncated_shannon", "weighted_pointwise_bound", "wnorm_sq",
 ]

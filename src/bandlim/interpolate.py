@@ -11,16 +11,20 @@ R is centrosymmetric (it commutes with the reversal n -> -n), so in the
 orthonormal basis of delta_0, (delta_j + delta_-j)/sqrt2 and
 (delta_j - delta_-j)/sqrt2 (j = 1..N) it is block diagonal: an even block of
 size N+1 and an odd block of size N (Cantoni & Butler, Linear Algebra Appl.
-13, 1976). Every system is solved by folding its right-hand side into these
-coordinates (`_fold`), solving in each half and unfolding: a quarter of the
-Cholesky work of R and half of each solve.
+13, 1976). R itself is never formed: `build_gram` assembles the two blocks
+straight from the generator r_k = psi(kT) (`_halves`), and every system is
+solved by folding its right-hand side into these coordinates (`_fold`),
+solving in each half and unfolding: a quarter of the Cholesky work of R and
+half of each solve. The weighted norm c^H R c is the sum of the same
+quadratic form over the two halves of the folded c.
 """
 
 import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpocon
 
 from .kernel import psi_closed_form, shannon_kernel
@@ -111,9 +115,10 @@ class SampleSet:
 class GramMatrix:
     """Kernel Gram system for one (kernel, T, N) configuration.
 
-    ``dense`` is the symmetric Toeplitz matrix psi((m - n) T). ``cholesky``
-    holds its even and odd halves (`_halves`), each as a pair of the block
-    and its lower Cholesky factor, or None when either half is not
+    The symmetric Toeplitz matrix R = psi((m - n) T) is held only as its
+    generator ``first_row`` (r_k = psi(kT), k = 0..2N) and its even and odd
+    ``blocks`` (`_halves`), all read-only. ``cholesky`` holds the lower
+    Cholesky factors of the two blocks, or None when either block is not
     numerically positive definite; every use goes through `factor`, which
     then raises. The condition estimate is computed only when read
     (`condition_estimate`).
@@ -122,7 +127,8 @@ class GramMatrix:
     kernel: object
     spacing_T: float
     half_count_N: int
-    dense: np.ndarray
+    first_row: np.ndarray
+    blocks: tuple
     cholesky: object
 
     @property
@@ -135,34 +141,29 @@ class GramMatrix:
 
     @property
     def condition_estimate(self):
-        """1-norm estimate of ``|R| |R^-1|``, or without a factor the ratio of
-        extreme |eigenvalues| of the two halves.
+        """1-norm estimate of the condition number of diag(E, O), or without
+        a factor the ratio of extreme |eigenvalues| of the two halves.
 
-        ``|R^-1|`` is estimated as the larger inverse norm of the halves
-        (LAPACK ``dpocon`` on each half factor); the orthonormal fold changes
-        a 1-norm by at most a factor 2.
+        It is max |block|_1 times max |block^-1|_1, each inverse norm LAPACK's
+        estimate from the half factor (``dpocon``); the orthonormal fold
+        changes a 1-norm by at most a factor 2, so this tracks |R|_1 |R^-1|_1.
         """
         if self.cholesky is not None:
-            inverse_norm = 0.0
-            for block, (chol, _) in self.cholesky:
+            norm = inverse_norm = 0.0
+            for block, (chol, _) in zip(self.blocks, self.cholesky):
                 if block.size:  # dpocon rejects the empty odd block of N = 0
                     block_norm = np.linalg.norm(block, 1)
                     rcond, _ = dpocon(chol, block_norm, uplo="L")
                     if rcond == 0.0:
                         return float("inf")
+                    norm = max(norm, block_norm)
                     inverse_norm = max(inverse_norm, 1.0 / (rcond * block_norm))
-            return float(np.linalg.norm(self.dense, 1) * inverse_norm)
-        eigs = np.abs(np.concatenate(
-            [np.linalg.eigvalsh(block) for block in _halves(self.dense)]))
+            return float(norm * inverse_norm)
+        eigs = np.abs(np.concatenate([np.linalg.eigvalsh(block) for block in self.blocks]))
         return float("inf") if np.min(eigs) == 0.0 else float(np.max(eigs) / np.min(eigs))
 
-    @property
-    def first_row(self):
-        """psi(k T) for k = 0..2N, the Toeplitz generator (read-only)."""
-        return self.dense[0]
-
     def factor(self):
-        """The (block, Cholesky factor) pairs of the even and odd halves, or
+        """The Cholesky factors of the even and odd halves, or
         `NotPositiveDefiniteError`."""
         if self.cholesky is None:
             cond = self.condition_estimate
@@ -184,8 +185,8 @@ class Interpolant:
 
 
 def build_gram(kernel, T, N):
-    """Assemble the Gram matrix of kernel values psi((m - n) T) and factor
-    its even and odd halves.
+    """Assemble the even and odd halves of the Gram matrix of kernel values
+    psi((m - n) T) and factor them.
 
     Never fails on a matrix that does not factor: `NotPositiveDefiniteError`
     surfaces at the first use of the factor (`solve` without ridge,
@@ -195,10 +196,13 @@ def build_gram(kernel, T, N):
         raise ValueError(f"spacing T must be finite and positive, got {T}")
     if N < 0:
         raise ValueError(f"half count N must be >= 0, got {N}")
-    dense = toeplitz(psi_closed_form(kernel, np.arange(2 * N + 1) * T))
-    dense.setflags(write=False)
-    return GramMatrix(kernel=kernel, spacing_T=T, half_count_N=N, dense=dense,
-                      cholesky=_factor_halves(_halves(dense)))
+    first_row = psi_closed_form(kernel, np.arange(2 * N + 1) * T)
+    first_row.setflags(write=False)
+    blocks = _halves(first_row)
+    for block in blocks:
+        block.setflags(write=False)
+    return GramMatrix(kernel=kernel, spacing_T=T, half_count_N=N, first_row=first_row,
+                      blocks=blocks, cholesky=_factor_halves(blocks))
 
 
 def solve(gram, samples, ridge_sigma2=0.0):
@@ -216,7 +220,7 @@ def solve(gram, samples, ridge_sigma2=0.0):
     if not np.isclose(samples.spacing_T, gram.spacing_T, rtol=1e-12, atol=0.0):
         raise ValueError("sample spacing does not match the Gram system")
     if ridge_sigma2 > 0:
-        blocks = _halves(gram.dense)
+        blocks = [block.copy() for block in gram.blocks]
         for block in blocks:
             block[np.diag_indices_from(block)] += ridge_sigma2
         halves = _factor_halves(blocks)
@@ -275,32 +279,36 @@ def _cardinal_halves(gram, t):
     v = np.moveaxis(_kernel_matrix(gram.kernel, t, gram.spacing_T, gram.half_count_N),
                     -1, 0)
     return [(block, part, cho_solve(factor, part, check_finite=False))
-            for (block, factor), part in zip(halves, _fold(v))]
+            for block, factor, part in zip(gram.blocks, halves, _fold(v))]
 
 
-def _halves(dense):
-    """Even and odd blocks E, O of the centrosymmetric Gram matrix R, as new arrays.
+def _halves(r):
+    """Even and odd blocks E, O of the centrosymmetric Gram matrix R, as new
+    arrays, from its generator r_k = psi(kT), k = 0..2N.
 
-    With r_k = psi(kT): ``E[i, j] = r_|i-j| + r_(i+j)`` for i, j = 0..N, except
-    that row and column 0 are ``sqrt2 r_j`` and ``E[0, 0] = r_0``; and
-    ``O[i, j] = r_|i-j| - r_(i+j)`` for i, j = 1..N. Both are read off R:
-    ``R[N + i, N - j]`` is r_(i+j).
+    ``E[i, j] = r_|i-j| + r_(i+j)`` for i, j = 0..N, except that row and
+    column 0 are ``sqrt2 r_j`` and ``E[0, 0] = r_0``; and
+    ``O[i, j] = r_|i-j| - r_(i+j)`` for i, j = 1..N. The Toeplitz term is a
+    window of the palindrome r_N..r_1, r_0, r_1..r_N and the Hankel term a
+    window of r, so only the two blocks are allocated.
     """
-    N = dense.shape[0] // 2
-    even = dense[N:, N:] + dense[N:, N::-1]
+    N = r.size // 2
+    toeplitz_part = sliding_window_view(np.concatenate([r[N:0:-1], r[:N + 1]]), N + 1)[::-1]
+    hankel_part = sliding_window_view(r, N + 1)
+    even = toeplitz_part + hankel_part
     even[0, 1:] *= _SQRT_HALF
     even[1:, 0] *= _SQRT_HALF
-    even[0, 0] = dense[N, N]
-    odd = dense[N + 1:, N + 1:] - dense[N + 1:, :N][:, ::-1]
+    even[0, 0] = r[0]
+    odd = toeplitz_part[1:, 1:] - hankel_part[1:, 1:]
     return even, odd
 
 
 def _factor_halves(blocks):
-    """(block, lower Cholesky factor) for each block, or None when one of
-    them is not numerically positive definite."""
+    """The lower Cholesky factor of each block, or None when one of them is
+    not numerically positive definite."""
     try:
-        return [(block, cho_factor(block, lower=True, check_finite=False))
-                for block in blocks]
+        return tuple(cho_factor(block, lower=True, check_finite=False)
+                     for block in blocks)
     except np.linalg.LinAlgError:
         return None
 
@@ -332,7 +340,7 @@ def _solve_halves(halves, x):
     """R^{-1} x for real or complex x over n = -N..N on axis 0, one
     Cholesky solve per half of `_fold(x)`."""
     return _unfold(*(_cho_solve_any(factor, part)
-                     for (_, factor), part in zip(halves, _fold(x))))
+                     for factor, part in zip(halves, _fold(x))))
 
 
 def _expand(kernel, T, N, coeffs, t):
@@ -390,7 +398,7 @@ def _kernel_matrix(kernel, t, T, N):
             cls = np.empty(flat.size, dtype=np.intp)
             cls[order] = np.cumsum(new_class) - 1
             rows = (starts[cls] + (hi[cls] - m)).astype(np.intp)
-            windows = np.lib.stride_tricks.sliding_window_view(table, width)
+            windows = sliding_window_view(table, width)
             return windows[rows].reshape(t.shape + (width,))
     nodes = np.arange(-N, N + 1) * T
     return psi_closed_form(kernel, t[..., None] - nodes)
@@ -405,15 +413,10 @@ def truncated_shannon(samples, t):
 
 
 def wnorm_sq(interp):
-    """Squared weighted-space norm of the interpolant, Re(c^H R c)."""
-    c = interp.coeffs_c
-    return float(np.real(np.conj(c) @ (interp.gram.dense @ c)))
-
-
-def node_residual(interp, samples):
-    """Max-norm residual of the (possibly ridged) system at the nodes."""
-    lhs = interp.gram.dense @ interp.coeffs_c + interp.ridge_sigma2 * interp.coeffs_c
-    return float(np.max(np.abs(lhs - samples.values)))
+    """Squared weighted-space norm of the interpolant, Re(c^H R c), summed
+    over the even and odd halves of the folded c."""
+    return float(sum(np.real(np.conj(part) @ (block @ part))
+                     for block, part in zip(interp.gram.blocks, _fold(interp.coeffs_c))))
 
 
 def _cho_solve_any(factor, rhs):

@@ -330,20 +330,6 @@ def fit_weights(target, bandwidth_B, degree_K, half_count_M,
             f"fitted {exc}; raise floor_alpha or smooth the target") from None
 
 
-def weights_from_density(density, bandwidth_B, degree_K=3, half_count_M=11,
-                         floor_alpha=None):
-    """Fit weights whose reciprocal tracks a density: a power spectral density
-    S (so W = 1/S) or a squared filter response |H|^2, by an identity-transform
-    fit.
-    """
-    if np.min(density.values) <= 0:
-        raise WeightFitError(
-            "density contains a zero: the weight would be unbounded, "
-            "violating the lower positivity bound")
-    return fit_weights(density, bandwidth_B, degree_K, half_count_M,
-                       floor_alpha=floor_alpha, transform=identity_transform)
-
-
 def gaussian_smooth(grid, sigma):
     """Smooth a density grid by discrete convolution with a Gaussian.
 

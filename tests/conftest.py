@@ -3,6 +3,7 @@ from collections import namedtuple
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import toeplitz
 
 from bandlim import AnalyticSignal, Kernel, WeightSpec, inverse_weight_eval, matched_weights
 
@@ -62,15 +63,23 @@ def random_weight_spec(seed, degree_K=None, half_count_M=None, bandwidth_B=None)
     return WeightSpec(B, K, M, d, alpha)
 
 
-FlatGramReference = namedtuple("FlatGramReference", "dense v u p2")
+def dense_gram(gram):
+    """The full Gram matrix R = psi((m - n) T) of a `GramMatrix`, as a test
+    reference: the symmetric Toeplitz matrix of its first row."""
+    return toeplitz(gram.first_row)
 
 
-def flat_gram_reference(bandwidth_B, T, N, t):
+FlatGramReference = namedtuple("FlatGramReference", "dense v u p2 c norm_sq")
+
+
+def flat_gram_reference(bandwidth_B, T, N, t, x):
     """The Gram pipeline of the flat kernel 2B sinc(2B t) at 50 digits.
 
     R[m, n] = psi((m - n) T) and v[n, j] = psi(t_j - nT) over n = -N..N,
     u = R^{-1} v by a Cholesky factorization of the full R (not its halves)
-    and P^2 = psi(0) - u.v, each rounded to float64 at the end. B, T and t
+    and P^2 = psi(0) - u.v; for the samples x over n = -N..N, the
+    coefficients c = R^{-1} x by the same factorization and the weighted
+    norm c.R c = c.x. Each is rounded to float64 at the end. B, T, t and x
     enter as their exact binary values, so the reference carries no float64
     rounding of its own before that last step.
     """
@@ -85,26 +94,34 @@ def flat_gram_reference(bandwidth_B, T, N, t):
         chol = mpmath.cholesky(mpmath.matrix(
             [[lags[abs(i - j)] for j in range(size)] for i in range(size)]))
         rows = [[chol[i, j] for j in range(i + 1)] for i in range(size)]
-        v, u, p2 = [], [], []
-        for tv in np.asarray(t, dtype=float).ravel():
-            col = [psi(mpmath.mpf(float(tv)) - n * step) for n in range(-N, N + 1)]
+
+        def cholesky_solve(col):
             y = []
             for i in range(size):
                 y.append((col[i] - mpmath.fdot(rows[i][:i], y)) / rows[i][i])
-            x = [None] * size
+            sol = [None] * size
             for i in reversed(range(size)):
                 below = [rows[k][i] for k in range(i + 1, size)]
-                x[i] = (y[i] - mpmath.fdot(below, x[i + 1:])) / rows[i][i]
+                sol[i] = (y[i] - mpmath.fdot(below, sol[i + 1:])) / rows[i][i]
+            return sol
+
+        v, u, p2 = [], [], []
+        for tv in np.asarray(t, dtype=float).ravel():
+            col = [psi(mpmath.mpf(float(tv)) - n * step) for n in range(-N, N + 1)]
+            sol = cholesky_solve(col)
             v.append(col)
-            u.append(x)
-            p2.append(psi(0) - mpmath.fdot(x, col))
+            u.append(sol)
+            p2.append(psi(0) - mpmath.fdot(sol, col))
+        samples = [mpmath.mpf(float(xv)) for xv in x]
+        c = cholesky_solve(samples)
 
         def to_float(values):
             return np.array(values, dtype=object).astype(float)
 
         dense = to_float([[lags[abs(i - j)] for j in range(size)] for i in range(size)])
         return FlatGramReference(dense=dense, v=to_float(v).T, u=to_float(u).T,
-                                 p2=to_float(p2))
+                                 p2=to_float(p2), c=to_float(c),
+                                 norm_sq=float(mpmath.fdot(c, samples)))
 
 
 def tabulated_transform_reference(bandwidth_B, grid, t, order=12):

@@ -27,6 +27,18 @@ ORACLE_CASES = {
     (10, 0.55): 3.6e-9,
     (12, 0.7): 2.3e-6,
 }
+# The same cases for `solve` and `wnorm_sq` on `oracle_samples`: the largest
+# error allowed in c, in units of cond * eps * max|c|, and in c.R c, in units
+# of cond * eps * c.R c. Each is twice the error measured on the even and odd
+# halves (c: 0.139, 0.544, 0.573, 0.0438 and 0.482; c.R c: 0.517, 0.849,
+# 0.363, 0.0268 and 0.606, in the order of the keys).
+SOLVE_CASES = {
+    (10, 0.9): (2.8e-1, 1.1),
+    (10, 0.7): (1.1, 1.7),
+    (10, 0.6): (1.2, 7.3e-1),
+    (10, 0.55): (8.8e-2, 5.4e-2),
+    (12, 0.7): (9.7e-1, 1.3),
+}
 
 
 def make_interp(kernel, signal, T, N):
@@ -130,13 +142,18 @@ def oracle_times(T, N):
     return np.concatenate([np.arange(-4 * N, 4 * N + 1) * (T / 4), off, -off])
 
 
+def oracle_samples(N):
+    """Seeded standard normal samples over n = -N..N."""
+    return np.random.default_rng(11).standard_normal(2 * N + 1)
+
+
 @pytest.fixture(scope="module", params=sorted(ORACLE_CASES),
                 ids=lambda case: f"N{case[0]}-T2B{case[1]}")
 def flat_oracle(request):
     N, ratio = request.param
     T = ratio / (2.0 * B)
     t = oracle_times(T, N)
-    ref = flat_gram_reference(B, T, N, t)
+    ref = flat_gram_reference(B, T, N, t, oracle_samples(N))
     return request.param, build_gram(Kernel.uniform(B), T, N), t, ref, np.linalg.cond(ref.dense)
 
 
@@ -144,8 +161,10 @@ class TestFiftyDigitOracle:
     """The flat kernel's Gram pipeline against `flat_gram_reference`."""
 
     def test_gram_matrix(self, flat_oracle):
+        # R is the Toeplitz matrix of its first row
         _, gram, _, ref, _ = flat_oracle
-        assert np.max(np.abs(gram.dense - ref.dense)) <= 4.0 * EPS * gram.kernel.psi0
+        err = np.max(np.abs(gram.first_row - ref.dense[0]))
+        assert err <= 4.0 * EPS * gram.kernel.psi0
 
     def test_kernel_matrix(self, flat_oracle):
         # rounding t - nT moves psi's argument by eps |t - nT|, and psi has
@@ -166,6 +185,19 @@ class TestFiftyDigitOracle:
         case, gram, t, ref, cond = flat_oracle
         err = np.max(np.abs(power_function(gram, t) ** 2 - ref.p2))
         assert err <= ORACLE_CASES[case] * cond * EPS * gram.kernel.psi0
+
+    def test_solve(self, flat_oracle):
+        case, gram, _, ref, cond = flat_oracle
+        x = oracle_samples(gram.half_count_N)
+        c = solve(gram, SampleSet(gram.spacing_T, x)).coeffs_c
+        err = np.max(np.abs(c - ref.c))
+        assert err <= SOLVE_CASES[case][0] * cond * EPS * np.max(np.abs(ref.c))
+
+    def test_wnorm_sq(self, flat_oracle):
+        case, gram, _, ref, cond = flat_oracle
+        x = oracle_samples(gram.half_count_N)
+        err = abs(wnorm_sq(solve(gram, SampleSet(gram.spacing_T, x))) - ref.norm_sq)
+        assert err <= SOLVE_CASES[case][1] * cond * EPS * ref.norm_sq
 
 
 class TestWeightedBound:

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
-from scipy.linalg import solve as dense_solve
+from scipy.linalg import solve as dense_solve, toeplitz
 
 import bandlim.interpolate as interpolate_module
 from bandlim import (DensityGrid, Kernel, NotPositiveDefiniteError, PSDModel, SampleSet,
                      adaptive_simpson, build_gram, cardinal, cardinal_coeffs,
-                     evaluate, inverse_weight_eval, node_residual, power_function,
+                     evaluate, inverse_weight_eval, power_function,
                      psi_closed_form, sample_signal, solve, squared_errors,
                      truncated_shannon, wnorm_sq)
-from bandlim.interpolate import _cardinal_values, _kernel_matrix
-from conftest import random_weight_spec
+from bandlim.interpolate import _cardinal_values, _fold, _halves, _kernel_matrix, _unfold
+from conftest import dense_gram, random_weight_spec
 
 B = 1.0
 
@@ -69,7 +69,7 @@ class TestBuildGram:
     def test_uniform_at_critical_spacing_is_scaled_identity(self):
         T = 0.5
         gram = build_gram(Kernel.uniform(1.0 / (2 * T)), T, 5)
-        np.testing.assert_allclose(gram.dense, np.eye(11) / T, atol=1e-15)
+        np.testing.assert_allclose(dense_gram(gram), np.eye(11) / T, atol=1e-15)
         assert gram.condition_estimate == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("T", [0.0, -0.5, np.nan, np.inf])
@@ -79,10 +79,12 @@ class TestBuildGram:
 
     def test_toeplitz_symmetry(self, lowpass_kernel):
         gram = build_gram(lowpass_kernel, 1.0 / B, 4)
-        d = gram.dense
+        d = dense_gram(gram)
         assert np.array_equal(d, d.T)
         np.testing.assert_array_equal(np.diag(d, 1), np.full(8, d[0, 1]))
         np.testing.assert_array_equal(gram.first_row, d[0])
+        for block in gram.blocks:
+            assert np.array_equal(block, block.T)
 
     def test_condition_grows_as_spacing_shrinks(self, lowpass_kernel):
         # oversampling makes the system progressively ill-conditioned
@@ -100,7 +102,7 @@ class TestBuildGram:
         for kernel in kernels:
             for ratio in (1.3, 1.0, 0.9, 0.7, 0.5):
                 gram = build_gram(kernel, ratio / (2 * B), 10)
-                cond = np.linalg.cond(gram.dense, 1)
+                cond = np.linalg.cond(dense_gram(gram), 1)
                 if gram.cholesky is None or cond >= 1e10:
                     continue
                 checked += 1
@@ -173,10 +175,12 @@ class TestSolve:
         T = 1.0 / B
         samples = sample_signal(lowfreq_signal, T, 10)
         gram = build_gram(lowpass_kernel, T, 10)
+        R = dense_gram(gram)
         for sigma2 in (0.0, 1e-3):
             interp = solve(gram, samples, sigma2)
             tol = 1e-9 * np.max(np.abs(samples.values))
-            assert node_residual(interp, samples) <= tol
+            residual = (R + sigma2 * np.eye(gram.size)) @ interp.coeffs_c - samples.values
+            assert np.max(np.abs(residual)) <= tol
 
     def test_mismatched_samples_rejected(self, lowpass_kernel):
         gram = build_gram(lowpass_kernel, 1.0, 3)
@@ -292,7 +296,7 @@ class TestCardinal:
         T, N = 1.0 / B, 10
         gram = build_gram(lowpass_kernel, T, N)
         p0 = cardinal_coeffs(gram, 0)
-        lhs = gram.dense @ p0
+        lhs = dense_gram(gram) @ p0
         expected = np.zeros(2 * N + 1)
         expected[N] = 1.0
         np.testing.assert_allclose(lhs, expected, atol=1e-10)
@@ -487,8 +491,9 @@ def test_kernel_matrix_off_lattice_is_direct(kernel, T, N, t):
 def test_expansions_match_dense_reference(case, seed):
     kernel, T, N, t = case
     gram = build_gram(kernel, T, N)
+    R = dense_gram(gram)
     # the Cholesky-based estimate can read far below the true condition number
-    assume(np.linalg.cond(gram.dense) < 1e8)
+    assume(np.linalg.cond(R) < 1e8)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(gram.size) + 1j * rng.standard_normal(gram.size)
     interp = solve(gram, SampleSet(T, x))
@@ -508,8 +513,8 @@ def test_expansions_match_dense_reference(case, seed):
     # kernel row v and by rounding of the same order in the quadratic terms
     tf = t.ravel()
     v = dense.reshape(tf.size, -1).T
-    u = dense_solve(gram.dense, v, assume_a="pos")
-    p2 = kernel.psi0 - 2.0 * np.sum(u * v, axis=0) + np.sum(u * (gram.dense @ u), axis=0)
+    u = dense_solve(R, v, assume_a="pos")
+    p2 = kernel.psi0 - 2.0 * np.sum(u * v, axis=0) + np.sum(u * (R @ u), axis=0)
     u1 = np.sum(np.abs(u), axis=0)
     np.testing.assert_allclose(power_function(gram, tf) ** 2, np.maximum(p2, 0.0),
                                rtol=0, atol=tol * np.max((1.0 + u1) ** 2))
@@ -535,7 +540,8 @@ def test_halves_match_dense_solve(kernel, ratio, N, sigma2, complex_samples, see
     # N = 0 leaves the odd half empty
     T = ratio / (2.0 * kernel.bandwidth_B)
     gram = build_gram(kernel, T, N)
-    cond = np.linalg.cond(gram.dense)
+    R = dense_gram(gram)
+    cond = np.linalg.cond(R)
     assume(cond < 1e8)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(gram.size)
@@ -548,12 +554,44 @@ def test_halves_match_dense_solve(kernel, ratio, N, sigma2, complex_samples, see
         np.testing.assert_allclose(value, reference, rtol=0,
                                    atol=HALVES_TOL_UNITS * units)
 
-    ridged = gram.dense + sigma2 * np.eye(gram.size)
+    ridged = R + sigma2 * np.eye(gram.size)
     check(solve(gram, SampleSet(T, x), sigma2).coeffs_c,
           dense_solve(ridged, x, assume_a="pos"), np.linalg.cond(ridged))
     check(np.array([cardinal_coeffs(gram, n) for n in range(-N, N + 1)]),
-          dense_solve(gram.dense, np.eye(gram.size), assume_a="pos"), cond)
+          dense_solve(R, np.eye(gram.size), assume_a="pos"), cond)
     v = np.moveaxis(_kernel_matrix(kernel, t, T, N), -1, 0)
     check(_cardinal_values(gram, t),
-          dense_solve(gram.dense, v.reshape(gram.size, -1),
+          dense_solve(R, v.reshape(gram.size, -1),
                       assume_a="pos").reshape(v.shape), cond)
+
+
+# --- the halves straight from the generator ----------------------------------
+
+
+def halves_of_dense(r):
+    """E and O read off the full Toeplitz matrix of r: the reference for `_halves`."""
+    dense = toeplitz(r)
+    N = dense.shape[0] // 2
+    even = dense[N:, N:] + dense[N:, N::-1]
+    even[0, 1:] *= np.sqrt(0.5)
+    even[1:, 0] *= np.sqrt(0.5)
+    even[0, 0] = dense[N, N]
+    odd = dense[N + 1:, N + 1:] - dense[N + 1:, :N][:, ::-1]
+    return even, odd
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda N: arrays(
+    float, 2 * N + 1, elements=st.floats(-1e3, 1e3, allow_subnormal=False))))
+@example(np.array([2.0]))
+@example(np.array([2.0, -0.5, 0.25]))
+def test_halves_match_toeplitz(r):
+    # N = 0 leaves the odd half empty, and N = 1 makes it 1 x 1
+    even, odd = _halves(r)
+    ref_even, ref_odd = halves_of_dense(r)
+    assert even.shape == ref_even.shape and odd.shape == ref_odd.shape
+    assert even.tobytes() == ref_even.tobytes() and odd.tobytes() == ref_odd.tobytes()
+    # R = unfold(diag(E, O) fold(I)), each entry a sum of at most two terms
+    fold_even, fold_odd = _fold(np.eye(r.size))
+    np.testing.assert_allclose(_unfold(even @ fold_even, odd @ fold_odd), toeplitz(r),
+                               rtol=0, atol=4.0 * np.finfo(float).eps * np.max(np.abs(r)))

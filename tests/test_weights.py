@@ -6,7 +6,7 @@ import pytest
 from bandlim import (BandError, DensityGrid, WeightFitError, WeightSpec,
                      bspline_eval, fit_weights, gaussian_smooth,
                      identity_transform, inverse_weight_eval, normalized,
-                     power_transform, weights_from_density)
+                     power_transform)
 from bandlim.signals import AnalyticSignal, matched_weights
 from bandlim import weights as weights_module
 from bandlim.weights import _spline_mix, _translates
@@ -273,11 +273,12 @@ class TestFitWeights:
 
 
 class TestWeightsFromDensity:
+    """Weights W = 1/S fitted to a density S by `fit_weights`."""
+
     def test_uniform_psd(self):
         gamma_sq = 2.5
         grid = DensityGrid(band_grid(801), np.full(801, gamma_sq))
-        spec = weights_from_density(grid, B, degree_K=1, half_count_M=28,
-                                    floor_alpha=0.0)
+        spec = fit_weights(grid, B, degree_K=1, half_count_M=28, floor_alpha=0.0)
         om = band_grid(401)
         inner = om[np.abs(om) <= 0.8 * EDGE]
         w = 1.0 / inverse_weight_eval(spec, inner)
@@ -286,16 +287,10 @@ class TestWeightsFromDensity:
     def test_triangle_psd_tracked_at_nodes(self):
         om = band_grid(801)
         z = np.maximum(0.05, 1.0 - np.abs(om) / EDGE)
-        spec = weights_from_density(DensityGrid(om, z), B)
+        spec = fit_weights(DensityGrid(om, z), B, 3, 11)
         inner = np.abs(om) <= 0.8 * EDGE
         g = inverse_weight_eval(spec, om[inner])
         assert np.max(np.abs(g - z[inner])) < 0.02
-
-    def test_zero_density_rejected(self):
-        om = band_grid(101)
-        z = np.maximum(0.0, 1.0 - np.abs(om) / (0.5 * EDGE))
-        with pytest.raises(WeightFitError, match="zero"):
-            weights_from_density(DensityGrid(om, z), B)
 
 
 class TestDensityGrid:
