@@ -39,15 +39,19 @@ def main(argv=None):
     ``ValueError`` from its argument checks is a configuration error. The
     numerical failures that are also ``ValueError`` (an infeasible ball, a
     Gram matrix that does not factor) are matched first.
+
+    Safe to call repeatedly in one process. Messages go to the
+    ``sys.stdout``/``sys.stderr`` of the moment: click's own default streams
+    are cached per stream object and keep every redirected buffer alive.
     """
     try:
         cli.main(args=argv, standalone_mode=False)
     except (NotPositiveDefiniteError, InfeasibleBallError, NegativePowerError,
             WeightFitError, np.linalg.LinAlgError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
+        click.echo(f"numerical failure: {exc}", file=sys.stderr)
         sys.exit(3)
     except (ValueError, click.UsageError, click.BadParameter) as exc:
-        click.echo(f"config error: {exc}", err=True)
+        click.echo(f"config error: {exc}", file=sys.stderr)
         sys.exit(2)
     except click.exceptions.Exit as exc:
         sys.exit(exc.exit_code)
@@ -375,17 +379,18 @@ def _fmt(value):
 
 
 def _write_csv(path, header, columns):
-    columns = [np.asarray(col) for col in columns]
+    # numeric fields never need quoting, so one %-format per row of plain
+    # floats writes the bytes csv.writer would
+    columns = [np.asarray(col, dtype=float).tolist() for col in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([_fmt(float(v)) for v in row])
+        csv.writer(fh).writerow(header)
+        fh.writelines(map(row.__mod__, zip(*columns)))
 
 
 def _note(quiet, message):
     if not quiet:
-        click.echo(message)
+        click.echo(message, file=sys.stdout)
 
 
 if __name__ == "__main__":

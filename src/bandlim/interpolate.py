@@ -29,7 +29,6 @@ from scipy.linalg.lapack import dpocon
 
 from .kernel import psi_closed_form, shannon_kernel
 
-SOLVER_RTOL = 1e-9
 _SQRT_HALF = np.sqrt(0.5)
 
 
@@ -111,7 +110,7 @@ class SampleSet:
         return cls(spacing_T, vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramMatrix:
     """Kernel Gram system for one (kernel, T, N) configuration.
 
@@ -175,7 +174,7 @@ class GramMatrix:
         return self.cholesky
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Interpolant:
     """Solved kernel expansion: coefficients over the nodes of its Gram system."""
 

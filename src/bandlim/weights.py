@@ -11,6 +11,7 @@ are real and symmetric (``d[-m] == d[m]``), which makes the time-domain
 kernel real and even.
 """
 
+import copy
 import csv
 import json
 from dataclasses import dataclass, field
@@ -357,7 +358,16 @@ def normalized(spec):
 
     Scaling W by a constant leaves the interpolant unchanged; a unit peak
     keeps kernel amplitudes and norm constants on a common scale.
+
+    The copy skips `WeightSpec`'s validation: dividing a validated spec by
+    its positive peak keeps it symmetric and positive, and its range is the
+    validated range over the same peak.
     """
-    _, peak = spec.reciprocal_range()
-    return WeightSpec(spec.bandwidth_B, spec.degree_K, spec.half_count_M,
-                      spec.coeffs_d / peak, spec.floor_alpha / peak)
+    lo, peak = spec.reciprocal_range()
+    coeffs = spec.coeffs_d / peak
+    coeffs.setflags(write=False)
+    scaled = copy.copy(spec)
+    object.__setattr__(scaled, "coeffs_d", coeffs)
+    object.__setattr__(scaled, "floor_alpha", spec.floor_alpha / peak)
+    object.__setattr__(scaled, "_range", (lo / peak, 1.0))
+    return scaled

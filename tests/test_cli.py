@@ -1,11 +1,19 @@
+import contextlib
 import csv
+import gc
+import io
 import json
+import tempfile
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bandlim import WeightSpec, inverse_weight_eval
-from bandlim.cli import main
+from bandlim.cli import _write_csv, main
 
 
 def run_cli(args):
@@ -322,3 +330,64 @@ class TestFitCommand:
                            output={"weights": "../escape.json"})
         assert run_cli(["fit", "--config", str(cfg), "--output-dir",
                         str(tmp_path / "o"), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("bandwidth, expected_code, message", [
+    (1.0, 0, "wrote "), ("wide", 2, "config error: ")])
+def test_in_process_calls_release_redirected_streams(tmp_path, bandwidth,
+                                                     expected_code, message):
+    cfg = write_config(tmp_path, bandwidth_hz=bandwidth, weights={"uniform": True})
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+        code = run_cli(["kernel", "--config", str(cfg), "--output-dir",
+                        str(tmp_path / "out")])
+    assert code == expected_code
+    assert buf.getvalue().startswith(message)
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None
+
+
+def old_write_csv(path, header, columns):
+    """Reference: a `csv.writer` row of `.17g` strings per row; `_write_csv`
+    must write the same bytes."""
+    columns = [np.asarray(col) for col in columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([f"{float(v):.17g}" for v in row])
+
+
+def special_values(dtype):
+    info = np.finfo(dtype)
+    return np.array([0.0, -0.0, np.inf, -np.inf, np.nan, info.smallest_subnormal,
+                     -info.tiny, 1e22, -info.max, 0.1], dtype=dtype).tolist()
+
+
+@st.composite
+def csv_tables(draw):
+    rows = draw(st.integers(0, 50))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        dtype = draw(st.sampled_from(["float64", "float32", "int64"]))
+        if dtype == "int64":
+            elements = st.integers(-2**63, 2**63 - 1)
+        else:
+            elements = (st.floats(width=64 if dtype == "float64" else 32)
+                        | st.sampled_from(special_values(dtype)))
+        columns.append(draw(arrays(dtype, rows, elements=elements)))
+    header = [f"c{i}" for i in range(len(columns) - 1)] + ["last, quoted"]
+    return header, columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_tables())
+def test_write_csv_bytes_match_per_value_writer(table):
+    header, columns = table
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
+        _write_csv(new, header, columns)
+        old_write_csv(old, header, columns)
+        assert new.read_bytes() == old.read_bytes()

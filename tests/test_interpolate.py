@@ -152,6 +152,16 @@ def test_unfactored_gram_raises_at_first_use(use):
     assert np.all(np.isfinite(solve(gram, samples, ridge_sigma2=1e-6).coeffs_c))
 
 
+def test_gram_and_interpolant_compare_by_identity():
+    kernel, samples = nyquist_setup()
+    grams = [build_gram(kernel, samples.spacing_T, samples.half_count_N)
+             for _ in range(2)]
+    interps = [solve(grams[0], samples) for _ in range(2)]
+    for a, b in (grams, interps):
+        assert a == a and a != b
+        assert {a: "a", b: "b"}[a] == "a" and len({a, b}) == 2
+
+
 class TestSolve:
     def test_diagonal_case(self):
         kernel, samples = nyquist_setup()

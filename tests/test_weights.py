@@ -64,9 +64,9 @@ class TestWeightSpec:
         evaluate = weights_module.inverse_weight_eval
         monkeypatch.setattr(weights_module, "inverse_weight_eval",
                             lambda *args: calls.append(1) or evaluate(*args))
-        # one positivity pass for the fit and one for its normalized copy
+        # one positivity pass for the fit; its normalized copy needs none
         matched_weights(AnalyticSignal.lowfreq(B))
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_json_roundtrip(self, tmp_path):
         spec = random_weight_spec(1)
@@ -330,6 +330,20 @@ def test_normalized_unit_peak():
     lo, hi = spec.reciprocal_range()
     assert hi == pytest.approx(1.0, rel=1e-12)
     assert lo > 0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_normalized_copy_is_the_scaled_spec(seed):
+    spec = random_weight_spec(seed)
+    _, peak = spec.reciprocal_range()
+    scaled = normalized(spec)
+    np.testing.assert_array_equal(scaled.coeffs_d, spec.coeffs_d / peak)
+    assert not scaled.coeffs_d.flags.writeable
+    assert scaled.floor_alpha == spec.floor_alpha / peak
+    assert spec.reciprocal_range()[1] == peak  # the source is left as it was
+    g = inverse_weight_eval(scaled, scaled.validation_grid())
+    np.testing.assert_allclose(scaled.reciprocal_range(),
+                               (np.min(g), np.max(g)), rtol=1e-14, atol=0)
 
 
 def test_identity_transform_passthrough():
