@@ -184,7 +184,14 @@ def mc(config_path, output_dir, seed, quiet):
     mc_cfg = cfg.get("mc")
     if not isinstance(mc_cfg, dict):
         raise ConfigError("mc commands need an 'mc' config section")
-    realizations = int(mc_cfg.get("realizations", 1000))
+    raw = mc_cfg.get("realizations", 1000)
+    try:
+        realizations = float(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"mc.realizations is invalid: {exc}") from exc
+    if not realizations.is_integer():
+        raise ConfigError(f"mc.realizations must be an integer, got {raw}")
+    realizations = int(realizations)
     if realizations < 2:
         # the standard error needs two draws or more
         raise ConfigError(f"mc.realizations must be >= 2, got {realizations}")

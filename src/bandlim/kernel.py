@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import DEFAULT_TOLERANCE, adaptive_simpson
-from .weights import DensityGrid, WeightSpec, inverse_weight_eval
+from .weights import DensityGrid, WeightSpec, flat_spec, inverse_weight_eval
 
 # Entries of t per evaluation block: large enough to amortize the Python loop,
 # small enough for the block temporaries to stay in cache (2^14..2^16 timed
@@ -66,7 +66,7 @@ class Kernel:
     def uniform(cls, bandwidth_B, level=1.0):
         """Kernel of the flat spec G = level over the band: uniform weights
         W = 1 at the default level, a flat density S = level otherwise."""
-        return cls.from_spec(WeightSpec(bandwidth_B, 0, 0, np.zeros(1), level))
+        return cls.from_spec(flat_spec(bandwidth_B, level))
 
     @classmethod
     def from_spec(cls, spec):

@@ -13,8 +13,16 @@ function also uses.
 
 Randomness uses numpy's PCG64 generator (``numpy.random.default_rng``);
 realization k of a run seeded with s draws from ``default_rng([s, k])``, so
-results are reproducible for a fixed seed schedule.
+results are reproducible for a fixed seed schedule. `squared_errors` splits
+its realizations into contiguous chunks, one per CPU in the process's
+affinity set (``taskset`` confines a run to one core). Each realization keeps
+its own generator and arithmetic, so the errors are bitwise the same on any
+number of CPUs.
 """
+
+import operator
+import os
+import threading
 
 import numpy as np
 
@@ -23,6 +31,10 @@ from .kernel import Kernel, psi_closed_form
 
 SYNTHESIS_GRID_SIZE = 2048
 MSE_KINDS = ("shannon", "uniform_weight", "matched_weight")
+
+# Realizations per chunk at least. A thread costs about one realization
+# (~60 us) to start and join, and calls below twice this run inline.
+_MIN_CHUNK = 64
 
 
 class PSDModel:
@@ -67,6 +79,7 @@ def synthesize_process(psd, seed, t_grid, nfreq=SYNTHESIS_GRID_SIZE):
     approximates the continuous process for |t| well inside 1/d_omega. The
     result has the shape of ``t_grid``.
     """
+    nfreq = _count("nfreq", nfreq)
     t = np.asarray(t_grid, dtype=float)
     cos_t, sin_t = _synthesis_basis(psd, t.ravel(), nfreq)
     rng = np.random.default_rng(seed)
@@ -93,12 +106,20 @@ def squared_errors(psd, interpolator_kind, T, N, t_eval, realizations, seed,
     ``default_rng([seed, k])`` regardless of kind, so kinds see identical
     processes. The error is linear in the draws, ``a.c + b.s`` with c = C [r; -1],
     s = S [r; -1] for the synthesis basis C, S at (nodes, t_eval) and row r.
+
+    The realizations are split into contiguous chunks, one per CPU in the
+    process's affinity set and at least ``_MIN_CHUNK`` each; the caller fills
+    the first and one thread each the others (the normal draws release the
+    GIL). Realization k still draws from its own ``default_rng([seed, k])``,
+    so the errors are bitwise independent of the CPU count, and the first m
+    errors of a call are those of the same call with m realizations. A
+    failing chunk's exception is raised here once every thread has ended.
     """
     if interpolator_kind not in MSE_KINDS:
         raise ValueError(f"unknown interpolator kind {interpolator_kind!r}; "
                          f"expected one of {MSE_KINDS}")
-    if realizations < 1:
-        raise ValueError(f"realizations must be >= 1, got {realizations}")
+    realizations = _count("realizations", realizations)
+    nfreq = _count("nfreq", nfreq)
     t_eval = float(t_eval)
     if not np.isfinite(t_eval):
         raise ValueError(f"t_eval must be finite, got {t_eval}")
@@ -109,12 +130,68 @@ def squared_errors(psd, interpolator_kind, T, N, t_eval, realizations, seed,
     s = sin_t @ weights
 
     errors = np.empty(realizations)
-    for k in range(realizations):
-        rng = np.random.default_rng([seed, k])
-        a = rng.standard_normal(nfreq)
-        b = rng.standard_normal(nfreq)
-        errors[k] = (a @ c + b @ s) ** 2
+
+    def fill(start, stop):
+        for k in range(start, stop):
+            rng = np.random.default_rng([seed, k])
+            a = rng.standard_normal(nfreq)
+            b = rng.standard_normal(nfreq)
+            errors[k] = (a @ c + b @ s) ** 2
+
+    chunks = max(1, min(_cpu_count(), realizations // _MIN_CHUNK))
+    _run_split(fill, [realizations * i // chunks for i in range(chunks + 1)])
     return errors
+
+
+def _count(name, value):
+    """``value`` as an int >= 1, else a ValueError that names it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def _cpu_count():
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_split(fill, bounds):
+    """Call ``fill(start, stop)`` for each consecutive pair of ``bounds``: the
+    first pair in the caller, every other pair in a thread of its own.
+
+    Every thread is joined before this returns or raises. A thread's exception
+    is kept rather than printed, and that of the first failing chunk is
+    re-raised here.
+    """
+    pairs = list(zip(bounds[:-1], bounds[1:]))
+    failures = [None] * len(pairs)
+
+    def guarded(i, start, stop):
+        try:
+            fill(start, stop)
+        except BaseException as exc:
+            failures[i] = exc
+
+    started = []
+    try:
+        for i, (start, stop) in enumerate(pairs[1:], 1):
+            thread = threading.Thread(target=guarded, args=(i, start, stop))
+            thread.start()
+            started.append(thread)
+        fill(*pairs[0])
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in failures:
+        if exc is not None:
+            raise exc
 
 
 def _predictor_row(psd, kind, T, N, t_eval):

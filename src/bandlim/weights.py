@@ -353,6 +353,28 @@ def gaussian_smooth(grid, sigma):
     return DensityGrid(grid.omegas, np.maximum(smoothed, 0.0))
 
 
+def flat_spec(bandwidth_B, level):
+    """The flat spec G = ``level`` over the band (K = M = 0, d = 0).
+
+    Built without `WeightSpec`'s positivity pass: its reciprocal weight is
+    ``0 * beta + level``, exactly ``level`` at every in-band point, so a
+    positive finite level is the whole check and the range is (level, level).
+    """
+    if bandwidth_B <= 0:
+        raise ValueError(f"bandwidth_B must be positive, got {bandwidth_B}")
+    if not 0.0 < level < np.inf:
+        raise NonPositiveWeightError(
+            f"flat level must be positive and finite, got {level}")
+    coeffs = np.zeros(1)
+    coeffs.setflags(write=False)
+    spec = object.__new__(WeightSpec)
+    for name, value in (("bandwidth_B", bandwidth_B), ("degree_K", 0),
+                        ("half_count_M", 0), ("coeffs_d", coeffs),
+                        ("floor_alpha", level), ("_range", (float(level),) * 2)):
+        object.__setattr__(spec, name, value)
+    return spec
+
+
 def normalized(spec):
     """Rescale a spec so its reciprocal weight peaks at 1 on the band.
 

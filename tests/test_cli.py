@@ -254,6 +254,35 @@ class TestMCCommand:
             f"config error: mc.realizations must be >= 2, got {realizations}\n")
         assert not out.exists() or not list(out.iterdir())
 
+    @pytest.mark.parametrize("realizations", [2.5, 1000.5, float("nan"), float("inf")])
+    def test_non_integral_realizations_name_the_key(self, tmp_path, capsys,
+                                                    realizations):
+        # 2.5 was once truncated to 2 draws
+        cfg = write_config(tmp_path, mc={"realizations": realizations})
+        out = tmp_path / "out"
+        assert run_cli(["mc", "--config", str(cfg), "--output-dir", str(out),
+                        "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: mc.realizations must be an integer, got {realizations}\n")
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_unreadable_realizations_name_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, mc={"realizations": "many"})
+        assert run_cli(["mc", "--config", str(cfg), "--output-dir",
+                        str(tmp_path / "out"), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: mc.realizations is invalid:")
+
+    def test_integral_float_realizations_run_that_many(self, tmp_path):
+        outs = []
+        for name, realizations in (("int", 60), ("float", 60.0)):
+            cfg = write_config(tmp_path, name=f"{name}.json",
+                               mc={"realizations": realizations, "eval_time_s": 0.5})
+            assert run_cli(["mc", "--config", str(cfg), "--output-dir",
+                            str(tmp_path / name), "--quiet"]) == 0
+            outs.append((tmp_path / name / "mc.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("eval_time", [float("nan"), float("inf")])
     def test_non_finite_eval_time_names_the_value(self, tmp_path, capsys, eval_time):
         cfg = write_config(tmp_path, mc={"realizations": 4, "eval_time_s": eval_time})

@@ -5,13 +5,19 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from bandlim import (BandError, DensityGrid, Kernel, WeightSpec, psi_closed_form,
                      psi_quadrature, shannon_kernel)
+from bandlim import weights as weights_module
 from bandlim.kernel import _BLOCK
+from bandlim.weights import NonPositiveWeightError
 from conftest import (random_weight_spec, tabulated_transform_reference,
                       tabulated_transform_scale)
 
 
 def oracle_tolerance(kernel):
     return max(1e-8, 1e-6 * abs(kernel.psi0))
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("positivity pass run")
 
 
 class TestUniformKernel:
@@ -31,6 +37,26 @@ class TestUniformKernel:
             k.reciprocal(1.01 * edge)
         assert psi_quadrature(k, 0.3) == pytest.approx(
             float(psi_closed_form(k, 0.3)), abs=oracle_tolerance(k))
+
+    @pytest.mark.parametrize("B, level", [(0.8, 1.0), (1.0, 0.7), (2.5, 3), (0.3, 1e-300)])
+    def test_flat_spec_skips_the_positivity_pass(self, monkeypatch, B, level):
+        # the flat level is checked directly; the spec is the validated one
+        validated = WeightSpec(B, 0, 0, np.zeros(1), level)
+        monkeypatch.setattr(weights_module, "inverse_weight_eval", _unreachable)
+        k = Kernel.uniform(B, level)
+        assert k.spec == validated
+        assert k.spec.reciprocal_range() == validated.reciprocal_range()
+        assert k.spec.floor_alpha is level
+        assert not k.spec.coeffs_d.flags.writeable
+        monkeypatch.undo()
+        t = np.linspace(-40, 40, 4001)
+        np.testing.assert_array_equal(psi_closed_form(k, t),
+                                      psi_closed_form(Kernel.from_spec(validated), t))
+
+    @pytest.mark.parametrize("level", [0.0, -1.0, np.nan, np.inf])
+    def test_flat_level_must_be_positive_and_finite(self, level):
+        with pytest.raises(NonPositiveWeightError, match="flat level"):
+            Kernel.uniform(1.0, level)
 
     def test_critical_spacing_gives_shannon_kernel_over_T(self):
         T = 0.5

@@ -1,7 +1,12 @@
+import os
+import sys
+import threading
+from contextlib import contextmanager
 from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bandlim import (DensityGrid, Kernel, NotPositiveDefiniteError, PSDModel, SampleSet,
                      autocorrelation, build_gram, cardinal, empirical_mse, evaluate,
@@ -9,7 +14,8 @@ from bandlim import (DensityGrid, Kernel, NotPositiveDefiniteError, PSDModel, Sa
                      sample_signal, solve, squared_errors, synthesize_process,
                      truncated_shannon)
 from bandlim.signals import spectral_density_grid
-from bandlim.stochastic import MSE_KINDS, SYNTHESIS_GRID_SIZE, _predictor_row
+from bandlim.stochastic import (_MIN_CHUNK, MSE_KINDS, SYNTHESIS_GRID_SIZE,
+                                 _predictor_row, _synthesis_basis)
 from conftest import spec_transform_reference, tabulated_transform_reference
 
 B = 1.0
@@ -310,3 +316,165 @@ class TestEmpiricalMSE:
                 patch("bandlim.stochastic._synthesis_basis", unreachable), \
                 pytest.raises(ValueError, match=f"t_eval must be finite, got {t_eval}"):
             squared_errors(lowpass_psd, kind, 1.0, 5, t_eval, 10, 1)
+
+
+def _serial_errors(psd, kind, T, N, t_eval, realizations, seed):
+    """The Monte-Carlo loop written out: one realization after another."""
+    weights = np.append(_predictor_row(psd, kind, T, N, t_eval), -1.0)
+    cos_t, sin_t = _synthesis_basis(psd, np.append(np.arange(-N, N + 1) * T, t_eval),
+                                    SYNTHESIS_GRID_SIZE)
+    c, s = cos_t @ weights, sin_t @ weights
+    errors = np.empty(realizations)
+    for k in range(realizations):
+        rng = np.random.default_rng([seed, k])
+        a = rng.standard_normal(SYNTHESIS_GRID_SIZE)
+        b = rng.standard_normal(SYNTHESIS_GRID_SIZE)
+        errors[k] = (a @ c + b @ s) ** 2
+    return errors
+
+
+def _cpus(count):
+    """Pretend the process may run on ``count`` CPUs."""
+    return patch.object(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        create=True)
+
+
+@contextmanager
+def _thread_starts():
+    """The threads started while active."""
+    started = []
+    start = threading.Thread.start
+    with patch.object(threading.Thread, "start",
+                      lambda thread: started.append(thread) or start(thread)):
+        yield started
+
+
+@contextmanager
+def _escaped_from_threads():
+    """The exceptions that escape a thread while active; the default hook
+    would print them to stderr."""
+    escaped = []
+    with patch.object(threading, "excepthook", escaped.append):
+        yield escaped
+
+
+class TestSplitRealizations:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(MSE_KINDS), st.integers(1, 300), st.integers(1, 4),
+           st.integers(0, 2**32 - 1))
+    @example("shannon", 300, 2, 0)
+    @example("matched_weight", 257, 3, 12345)
+    @example("uniform_weight", 199, 4, 2**32 - 1)
+    def test_bitwise_equal_to_the_serial_loop(self, lowpass_psd, kind, realizations,
+                                              cpus, seed):
+        T, N, t_eval = 0.8, 5, 0.37
+        with _cpus(cpus), _thread_starts() as starts:
+            errors = squared_errors(lowpass_psd, kind, T, N, t_eval, realizations, seed)
+        expected = _serial_errors(lowpass_psd, kind, T, N, t_eval, realizations, seed)
+        assert errors.tobytes() == expected.tobytes()
+        assert len(starts) == max(1, min(cpus, realizations // _MIN_CHUNK)) - 1
+
+    def test_one_cpu_runs_inline_with_the_same_bytes(self, lowpass_psd):
+        args = (lowpass_psd, "matched_weight", 1.0, 10, 0.5, 500, 31)
+        with _cpus(3), _thread_starts() as starts:
+            split = squared_errors(*args)
+        assert len(starts) == 2
+
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        with _cpus(1), patch.object(threading.Thread, "start", refuse):
+            inline = squared_errors(*args)
+        assert inline.tobytes() == split.tobytes()
+
+    def test_more_chunks_than_cores_under_fast_switching(self, lowpass_psd):
+        # every chunk writes its own slice of one array: a lost or misplaced
+        # write would leave an np.empty value or a neighbour's error behind
+        args = (lowpass_psd, "uniform_weight", 0.8, 5, 0.37, 8 * _MIN_CHUNK + 5, 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _cpus(8), _thread_starts() as starts:
+                errors = squared_errors(*args)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(starts) == 7
+        assert errors.tobytes() == _serial_errors(*args).tobytes()
+
+    def test_short_calls_start_no_thread(self, lowpass_psd):
+        with _cpus(64), _thread_starts() as starts:
+            squared_errors(lowpass_psd, "shannon", 1.0, 10, 0.5, 2 * _MIN_CHUNK - 1, 3)
+        assert len(starts) == 0
+
+    @pytest.mark.parametrize("kind", MSE_KINDS)
+    def test_prefix_of_a_longer_call(self, lowpass_psd, kind):
+        short = squared_errors(lowpass_psd, kind, 1.0, 10, 0.5, 10, 77)
+        with _cpus(4):
+            long = squared_errors(lowpass_psd, kind, 1.0, 10, 0.5, 500, 77)
+        assert short.tobytes() == long[:10].tobytes()
+
+    def test_failing_draw_raises_in_the_caller_after_every_join(self, lowpass_psd,
+                                                                 capfd):
+        before = threading.active_count()
+        with _cpus(4), _thread_starts() as starts, _escaped_from_threads() as escaped, \
+                pytest.raises(ValueError, match="negative"):
+            squared_errors(lowpass_psd, "shannon", 1.0, 10, 0.5, 500, -1)
+        assert len(starts) == 3
+        assert threading.active_count() == before
+        assert escaped == []
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("fail_at", [0, 499])
+    def test_one_failing_chunk_raises_after_the_others_finish(self, lowpass_psd, capfd,
+                                                              fail_at):
+        # k = 0 fails in the caller's chunk [0, 250), k = 499 in the thread's
+        # [250, 500); the other chunk must be drawn to its end before the raise
+        realizations = 500
+        default_rng = np.random.default_rng
+        drawn = {}
+
+        def failing_rng(entropy):
+            if entropy[1] == fail_at:
+                raise RuntimeError("draw failed")
+            drawn[entropy[1]] = threading.current_thread()
+            return default_rng(entropy)
+
+        before = threading.active_count()
+        with _cpus(2), patch.object(np.random, "default_rng", failing_rng), \
+                _escaped_from_threads() as escaped, \
+                pytest.raises(RuntimeError, match="draw failed"):
+            squared_errors(lowpass_psd, "shannon", 1.0, 10, 0.5, realizations, 5)
+        assert escaped == []
+        caller = {k for k, thread in drawn.items() if thread is threading.main_thread()}
+        assert caller == (set() if fail_at == 0 else set(range(250)))
+        assert set(drawn) - caller == set(range(250, 500)) - {fail_at}
+        assert threading.active_count() == before
+        assert capfd.readouterr().err == ""
+
+
+class TestCountChecks:
+    @pytest.mark.parametrize("realizations", [2.5, 3.0, "4", None])
+    def test_non_integral_realizations_rejected(self, lowpass_psd, realizations):
+        with pytest.raises(ValueError, match="realizations must be an integer"):
+            squared_errors(lowpass_psd, "shannon", 1.0, 5, 0.5, realizations, 1)
+
+    def test_realizations_below_one_rejected(self, lowpass_psd):
+        with pytest.raises(ValueError, match="realizations must be >= 1, got 0"):
+            squared_errors(lowpass_psd, "shannon", 1.0, 5, 0.5, 0, 1)
+
+    def test_numpy_integer_counts_accepted(self, lowpass_psd):
+        np.testing.assert_array_equal(
+            squared_errors(lowpass_psd, "shannon", 1.0, 5, 0.5, np.int64(7), 1,
+                           nfreq=np.int32(64)),
+            squared_errors(lowpass_psd, "shannon", 1.0, 5, 0.5, 7, 1, nfreq=64))
+
+    @pytest.mark.parametrize("nfreq", [0, -3])
+    def test_nfreq_below_one_rejected(self, lowpass_psd, nfreq):
+        with pytest.raises(ValueError, match=f"nfreq must be >= 1, got {nfreq}"):
+            squared_errors(lowpass_psd, "shannon", 1.0, 5, 0.5, 4, 1, nfreq=nfreq)
+        with pytest.raises(ValueError, match=f"nfreq must be >= 1, got {nfreq}"):
+            synthesize_process(lowpass_psd, 1, [0.0, 0.5], nfreq=nfreq)
+
+    def test_non_integral_nfreq_rejected(self, lowpass_psd):
+        with pytest.raises(ValueError, match="nfreq must be an integer"):
+            synthesize_process(lowpass_psd, 1, [0.0, 0.5], nfreq=64.5)
