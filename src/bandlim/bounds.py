@@ -79,8 +79,8 @@ def power_function(gram, t):
     s, back = np.unique(np.abs(t.ravel()), return_inverse=True)
     (even, v_even, a), (odd, v_odd, b) = _cardinal_halves(gram, s)
     psi0 = gram.kernel.psi0
-    p2 = (psi0 - 2.0 * (_column_dot(a, v_even) + _column_dot(b, v_odd))
-          + _column_dot(a, even @ a) + _column_dot(b, odd @ b))
+    p2 = (psi0 - 2.0 * (_row_dot(a, v_even) + _row_dot(b, v_odd))
+          + _row_dot(a, a @ even) + _row_dot(b, b @ odd))
     floor = -POWER_CLAMP * max(1.0, abs(psi0))
     if np.any(p2 < floor):
         raise NegativePowerError(
@@ -164,9 +164,9 @@ def minimax_worstcase(samples, E, t, tail_range=10_000, phase=0.0):
                             truncation_deficit=float(deficit))
 
 
-def _column_dot(x, y):
-    # formed row-major, so that the axis-0 sum adds it row by row
-    return np.sum(np.multiply(x, y, order="C"), axis=0)
+def _row_dot(x, y):
+    # formed row-major, so that each row is summed pairwise
+    return np.sum(np.multiply(x, y, order="C"), axis=1)
 
 
 def _check_budget(name, value):

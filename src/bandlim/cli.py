@@ -80,7 +80,7 @@ def _common_options(fn):
 def kernel(config_path, output_dir, seed, quiet):
     """Emit the interpolation kernel and the uniform-weight reference."""
     cfg = _load_config(config_path, seed)
-    B = _require(cfg, "bandwidth_hz", float)
+    B = _bandwidth(cfg)
     grid = _time_grid(cfg)
     kern = _kernel_from_config(cfg, B)
     psi = psi_closed_form(kern, grid)
@@ -95,7 +95,7 @@ def kernel(config_path, output_dir, seed, quiet):
 def compare(config_path, output_dir, seed, quiet):
     """Interpolate a named signal with several methods and tabulate errors."""
     cfg = _load_config(config_path, seed)
-    B = _require(cfg, "bandwidth_hz", float)
+    B = _bandwidth(cfg)
     N = _require(cfg, "half_count_n", int)
     T = _spacing(cfg, B)
     grid = _time_grid(cfg)
@@ -139,7 +139,7 @@ def compare(config_path, output_dir, seed, quiet):
 def cardinals(config_path, output_dir, seed, quiet):
     """Emit the center cardinal function against its references."""
     cfg = _load_config(config_path, seed)
-    B = _require(cfg, "bandwidth_hz", float)
+    B = _bandwidth(cfg)
     N = _require(cfg, "half_count_n", int)
     T = _spacing(cfg, B)
     grid = _time_grid(cfg)
@@ -157,7 +157,7 @@ def cardinals(config_path, output_dir, seed, quiet):
 def bounds(config_path, output_dir, seed, quiet):
     """Emit the power function and pointwise error bound on a grid."""
     cfg = _load_config(config_path, seed)
-    B = _require(cfg, "bandwidth_hz", float)
+    B = _bandwidth(cfg)
     N = _require(cfg, "half_count_n", int)
     T = _spacing(cfg, B)
     grid = _time_grid(cfg)
@@ -178,7 +178,7 @@ def bounds(config_path, output_dir, seed, quiet):
 def mc(config_path, output_dir, seed, quiet):
     """Monte-Carlo mean-squared-error table across interpolator kinds."""
     cfg = _load_config(config_path, seed)
-    B = _require(cfg, "bandwidth_hz", float)
+    B = _bandwidth(cfg)
     N = _require(cfg, "half_count_n", int)
     T = _spacing(cfg, B)
     mc_cfg = cfg.get("mc")
@@ -223,7 +223,7 @@ def mc(config_path, output_dir, seed, quiet):
 def fit(config_path, output_dir, seed, quiet):
     """Fit a weight spec to a tabulated density and save it as JSON."""
     cfg = _load_config(config_path, seed)
-    B = _require(cfg, "bandwidth_hz", float)
+    B = _bandwidth(cfg)
     fit_cfg = cfg.get("fit")
     if not isinstance(fit_cfg, dict):
         raise ConfigError("fit commands need a 'fit' config section")
@@ -276,9 +276,15 @@ def _require(cfg, key, cast):
         raise ConfigError(f"config key {key!r} is invalid: {exc}") from exc
 
 
+def _bandwidth(cfg):
+    """``bandwidth_hz``, checked before any subcommand computes with it."""
+    bandwidth = _require(cfg, "bandwidth_hz", float)
+    if not 0.0 < bandwidth < np.inf:
+        raise ConfigError(f"bandwidth_hz must be positive and finite, got {bandwidth}")
+    return bandwidth
+
+
 def _spacing(cfg, bandwidth):
-    if not bandwidth > 0.0:
-        raise ConfigError(f"bandwidth_hz must be positive, got {bandwidth}")
     fraction = _require(cfg, "nyquist_fraction", float)
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"nyquist_fraction must be in (0, 1], got {fraction}")

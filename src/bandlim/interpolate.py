@@ -16,7 +16,14 @@ straight from the generator r_k = psi(kT) (`_halves`), and every system is
 solved by folding its right-hand side into these coordinates (`_fold`),
 solving in each half and unfolding: a quarter of the Cholesky work of R and
 half of each solve. The weighted norm c^H R c is the sum of the same
-quadratic form over the two halves of the folded c.
+quadratic form over the two halves of the folded c. The kernel values
+psi(t - nT) for the cardinals and the power function are solved from the
+right, one row per evaluation point, by the triangular factor of each half.
+
+The interpolant, its cardinals and the power function all read the kernel
+matrix psi(t_j - nT) from `_kernel_matrix`. It groups the points by residue
+of t mod T, one run of psi per group, and pairs the residues r and T - r
+(psi is even), so a grid symmetric about 0 evaluates about half the runs.
 """
 
 import csv
@@ -25,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpocon
 
 from .kernel import psi_closed_form, shannon_kernel
@@ -262,23 +270,30 @@ def _cardinal_values(gram, t):
     shape (2N+1,) + t.shape."""
     t = np.asarray(t, dtype=float)
     (_, _, u_even), (_, _, u_odd) = _cardinal_halves(gram, t.ravel())
-    return _unfold(u_even, u_odd).reshape((gram.size,) + t.shape)
+    return _unfold(u_even.T, u_odd.T).reshape((gram.size,) + t.shape)
 
 
 def _cardinal_halves(gram, t):
     """(block, folded v, folded u) for the even and the odd half, at 1-d ``t``.
 
-    v = psi(t - nT) and u = R^{-1} v in the coordinates of `_fold`, so that in
-    each half u = block^{-1} v, each of shape (half size, t.size). The factor
-    comes first: a Gram that does not factor raises before any psi.
+    v = psi(t - nT) and u = R^{-1} v in the coordinates of `_fold`, one row
+    per point: in each half u = v block^{-1}, of shape (t.size, half size).
+    With block = L L^T, that is two triangular solves from the right, by L^T
+    and then by L (BLAS ``dtrsm``), which timed faster than LAPACK's
+    left-side ``potrs`` on the transpose. The factor comes first: a Gram that
+    does not factor raises before any psi.
     """
     halves = gram.factor()
     if not np.all(np.isfinite(t)):
         raise ValueError("evaluation times must be finite")
-    v = np.moveaxis(_kernel_matrix(gram.kernel, t, gram.spacing_T, gram.half_count_N),
-                    -1, 0)
-    return [(block, part, cho_solve(factor, part, check_finite=False))
-            for block, factor, part in zip(gram.blocks, halves, _fold(v))]
+    v = _kernel_matrix(gram.kernel, t, gram.spacing_T, gram.half_count_N)
+    result = []
+    for block, (chol, _), part in zip(gram.blocks, halves, _fold(v.T)):
+        part = part.T  # Fortran-ordered, as dtrsm reads it without a copy
+        u = dtrsm(1.0, chol, part, side=1, lower=1, trans_a=1)
+        u = dtrsm(1.0, chol, u, side=1, lower=1, trans_a=0, overwrite_b=1)
+        result.append((block, part, u))
+    return result
 
 
 def _halves(r):
@@ -345,9 +360,9 @@ def _solve_halves(halves, x):
 def _expand(kernel, T, N, coeffs, t):
     """sum_n coeffs[n] psi(t - nT) over n = -N..N, broadcast over the shape of t.
 
-    The kernel matrix comes from `_kernel_matrix`: one psi table per residue
-    class of t mod T when the points share residues (a grid whose step
-    divides a multiple of T), else the direct entry-by-entry evaluation.
+    The kernel matrix comes from `_kernel_matrix`: one psi run per residue
+    pair {r, T - r} of t mod T when the points share residues (a grid whose
+    step divides a multiple of T), else the direct entry-by-entry evaluation.
     """
     return _kernel_matrix(kernel, t, T, N) @ coeffs
 
@@ -356,12 +371,19 @@ def _kernel_matrix(kernel, t, T, N):
     """psi(t_j - nT) for n = -N..N, with shape ``t.shape + (2N+1,)``.
 
     Every t_j is split as m_j T + r_j with m_j = floor(t_j / T), so that
-    t_j - nT = r_j + (m_j - n) T. Points whose residues agree to within a
-    few ulps of max|t| + T (no more than the rounding ``t - nT`` carries
-    anyway) form one class, which needs psi(r + kT) only on one contiguous
-    run of k; each row is then a window of that run. When the runs would
-    hold as many values as the matrix itself (no two points share a residue,
-    as for random points), the matrix is evaluated entry by entry.
+    t_j - nT = r_j + (m_j - n) T. psi is even, so a point with r_j > T/2 is
+    rewritten as -(rho_j + m'_j T) with rho_j = T - r_j and m'_j = -m_j - 1:
+    its row psi(rho_j + (m'_j + n) T) is a reversed row of residue rho_j,
+    and m'_j stands in for m_j. Points whose residues (rho for these flipped
+    points) agree to within a few ulps of max|t| + T (no more than the
+    rounding ``t - nT`` carries anyway) form one class, which needs
+    psi(rho + kT) only on one contiguous run of k; each row is then a window
+    of that run, read backwards for a flipped point. So on a grid symmetric
+    about 0 the residues r and T - r share one run. A class whose flipped
+    and unflipped points have m-ranges more than 2N + 1 apart keeps two
+    runs, as one run spanning both would be longer. When the runs would hold
+    as many values as the matrix itself (no two points share a residue, as
+    for random points), the matrix is evaluated entry by entry.
     """
     t = np.asarray(t, dtype=float)
     width = 2 * N + 1
@@ -374,31 +396,55 @@ def _kernel_matrix(kernel, t, T, N):
         wrap = r > T - tol
         r[wrap] -= T
         m[wrap] += 1.0
+        # residue T/2 pairs with itself: unflipped, its class keeps one run
+        flip = r > 0.5 * T + tol
+        r = np.where(flip, T - r, r)
+        m = np.where(flip, -1.0 - m, m)
         order = np.argsort(r)
         r_sorted = r[order]
         new_class = np.diff(r_sorted, prepend=-np.inf) > tol
         heads = np.flatnonzero(new_class)
         tails = np.append(heads[1:], flat.size) - 1
-        m_sorted = m[order]
-        lo = np.minimum.reduceat(m_sorted, heads)
-        hi = np.maximum.reduceat(m_sorted, heads)
-        lengths = hi - lo + width
-        if (np.all(r_sorted[tails] - r_sorted[heads] <= tol)
-                and np.sum(lengths) < flat.size * width):
-            # Class c's run holds psi(r_c + kT) for k = hi_c + N down to
-            # lo_c - N, so row j of the class starts (hi_c - m_j) into it.
-            lengths = lengths.astype(np.intp)
-            starts = np.cumsum(lengths) - lengths
-            k = np.repeat(hi + N + starts, lengths)
-            k -= np.arange(k.size)
-            k *= T
-            k += np.repeat(r_sorted[heads], lengths)
-            table = psi_closed_form(kernel, k)
-            cls = np.empty(flat.size, dtype=np.intp)
-            cls[order] = np.cumsum(new_class) - 1
-            rows = (starts[cls] + (hi[cls] - m)).astype(np.intp)
-            windows = sliding_window_view(table, width)
-            return windows[rows].reshape(t.shape + (width,))
+        if heads.size < flat.size and np.all(r_sorted[tails] - r_sorted[heads] <= tol):
+            # m-range of each class's unflipped and flipped points, NaN if none
+            m_sorted = m[order]
+            flip_sorted = flip[order]
+            unflipped = np.where(flip_sorted, np.nan, m_sorted)
+            flipped = np.where(flip_sorted, m_sorted, np.nan)
+            lo_u = np.fmin.reduceat(unflipped, heads)
+            hi_u = np.fmax.reduceat(unflipped, heads)
+            lo_f = np.fmin.reduceat(flipped, heads)
+            hi_f = np.fmax.reduceat(flipped, heads)
+            lo, hi = np.fmin(lo_u, lo_f), np.fmax(hi_u, hi_f)
+            # each point's run: the one of its class, unless a split moves it
+            run = np.empty(flat.size, dtype=np.intp)
+            run[order] = np.cumsum(new_class) - 1
+            residues = r_sorted[heads]
+            split = np.maximum(lo_f - hi_u, lo_u - hi_f) > width
+            if split.any():
+                # the flipped points of a split class get a run of their own,
+                # appended after the runs of the classes
+                lo[split], hi[split] = lo_u[split], hi_u[split]
+                lo, hi = np.append(lo, lo_f[split]), np.append(hi, hi_f[split])
+                residues = np.append(residues, residues[split])
+                moved = flip & split[run]
+                run[moved] = heads.size + np.cumsum(split)[run[moved]] - 1
+            lengths = hi - lo + width
+            if np.sum(lengths) < flat.size * width:
+                # Run q holds psi(rho_q + kT) for k = hi_q + N down to
+                # lo_q - N, so row j of the run starts (hi_q - m_j) into it.
+                lengths = lengths.astype(np.intp)
+                starts = np.cumsum(lengths) - lengths
+                k = np.repeat(hi + N + starts, lengths)
+                k -= np.arange(k.size)
+                k *= T
+                k += np.repeat(residues, lengths)
+                table = psi_closed_form(kernel, k)
+                rows = (starts[run] + (hi[run] - m)).astype(np.intp)
+                # reversed, a flipped row is a window of the reversed table
+                rows[flip] = 2 * table.size - width - rows[flip]
+                windows = sliding_window_view(np.concatenate([table, table[::-1]]), width)
+                return windows[rows].reshape(t.shape + (width,))
     nodes = np.arange(-N, N + 1) * T
     return psi_closed_form(kernel, t[..., None] - nodes)
 

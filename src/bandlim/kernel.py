@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import DEFAULT_TOLERANCE, adaptive_simpson
-from .weights import DensityGrid, WeightSpec, flat_spec, inverse_weight_eval
+from .weights import DensityGrid, WeightSpec, _check_bandwidth, flat_spec, \
+    inverse_weight_eval
 
 # Entries of t per evaluation block: large enough to amortize the Python loop,
 # small enough for the block temporaries to stay in cache (2^14..2^16 timed
@@ -57,10 +58,9 @@ class Kernel:
         if (self.spec is None) == (self.grid is None):
             raise ValueError("a kernel takes exactly one of a weight spec or a "
                              "density grid")
+        _check_bandwidth(self.bandwidth_B)
         if self.spec is not None and self.spec.bandwidth_B != self.bandwidth_B:
             raise ValueError("kernel bandwidth must match its weight spec")
-        if self.bandwidth_B <= 0:
-            raise ValueError(f"bandwidth_B must be positive, got {self.bandwidth_B}")
 
     @classmethod
     def uniform(cls, bandwidth_B, level=1.0):
@@ -103,10 +103,15 @@ def psi_closed_form(kernel, t):
     cheb = np.concatenate([d[M:M + 1], 2.0 * d[M + 1:]])
     scale = A / np.pi
     floor = 2.0 * spec.floor_alpha * B
+    # the flat spec has no spline mass: its kernel is the floor term alone
+    spline = bool(np.any(d))
     flat = t.ravel()
     out = np.empty(flat.shape)
     for start in range(0, flat.size, _BLOCK):
         tb = flat[start:start + _BLOCK]
+        if not spline:
+            out[start:start + _BLOCK] = floor * np.sinc(2.0 * B * tb)
+            continue
         s = np.sinc(A * tb / np.pi)
         env = s.copy()
         for _ in range(spec.degree_K):

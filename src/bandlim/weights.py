@@ -63,8 +63,7 @@ class WeightSpec:
     _range: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.bandwidth_B <= 0:
-            raise ValueError(f"bandwidth_B must be positive, got {self.bandwidth_B}")
+        _check_bandwidth(self.bandwidth_B)
         spline_spacing(self.bandwidth_B, self.degree_K, self.half_count_M)
         if self.floor_alpha < 0:
             raise ValueError(f"floor_alpha must be >= 0, got {self.floor_alpha}")
@@ -198,6 +197,11 @@ class DensityGrid:
             writer.writerow(["omega", "value"])
             for om, va in zip(self.omegas, self.values):
                 writer.writerow([f"{om:.17g}", f"{va:.17g}"])
+
+
+def _check_bandwidth(bandwidth_B):
+    if not 0.0 < bandwidth_B < np.inf:
+        raise ValueError(f"bandwidth_B must be positive and finite, got {bandwidth_B}")
 
 
 def spline_spacing(bandwidth_B, degree_K, half_count_M):
@@ -360,8 +364,7 @@ def flat_spec(bandwidth_B, level):
     ``0 * beta + level``, exactly ``level`` at every in-band point, so a
     positive finite level is the whole check and the range is (level, level).
     """
-    if bandwidth_B <= 0:
-        raise ValueError(f"bandwidth_B must be positive, got {bandwidth_B}")
+    _check_bandwidth(bandwidth_B)
     if not 0.0 < level < np.inf:
         raise NonPositiveWeightError(
             f"flat level must be positive and finite, got {level}")

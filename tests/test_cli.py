@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import tempfile
+import warnings
 import weakref
 from pathlib import Path
 
@@ -227,6 +228,23 @@ def test_invalid_values_are_config_errors(tmp_path, capsys, command, overrides):
     assert run_cli([command, "--config", str(cfg), "--output-dir", str(out),
                     "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["kernel", "compare", "cardinals", "bounds",
+                                     "mc", "fit"])
+@pytest.mark.parametrize("bandwidth", [float("inf"), float("nan")])
+def test_non_finite_bandwidth_names_the_key(tmp_path, capsys, command, bandwidth):
+    # checked before anything computes with it: no RuntimeWarning on the way
+    cfg = write_config(tmp_path, bandwidth_hz=bandwidth, ball_radius=10.0,
+                       mc={"realizations": 4}, fit={"density_csv": "density.csv"})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli([command, "--config", str(cfg), "--output-dir", str(out),
+                        "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: bandwidth_hz must be positive and finite, got {bandwidth}\n")
     assert not out.exists() or not list(out.iterdir())
 
 

@@ -496,6 +496,81 @@ def test_kernel_matrix_off_lattice_is_direct(kernel, T, N, t):
     np.testing.assert_array_equal(value, dense_kernel_matrix(kernel, t, T, N))
 
 
+def unpaired_runs(k, periods, classes, N):
+    """Run lengths that one run per residue class of t mod T needs, with no
+    pairing of r and T - r, for the points t = k h with h = T periods / classes
+    (k integral): class c holds the k with k periods = m classes + c."""
+    m, c = np.divmod(k * periods, classes)
+    return np.array([np.ptp(m[c == cls]) + 2 * N + 1 for cls in np.unique(c)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_kernels(), st.sampled_from([0.5, 0.75, 1.0]), st.integers(0, 10),
+       st.sampled_from([(40, 1), (10, 1), (80, 3)]), st.integers(1, 300))
+@example(Kernel.uniform(1.0), 1.0, 1000, (40, 1), 340)
+def test_kernel_matrix_pairs_residues_on_symmetric_grids(kernel, ratio, N, lattice, G):
+    # The classes of r and T - r mirror each other and share one run; those of
+    # 0 and T/2 pair with themselves, and cost one run more than half at most.
+    classes, periods = lattice
+    T = ratio / (2.0 * kernel.bandwidth_B)
+    k = np.arange(-G, G + 1)
+    t = k * (T * periods / classes)
+    with counted_psi() as counts:
+        value = _kernel_matrix(kernel, t, T, N)
+    runs = unpaired_runs(k, periods, classes, N)
+    assert sum(counts) <= np.sum(runs) / 2 + np.max(runs)
+    dense = dense_kernel_matrix(kernel, t, T, N)
+    np.testing.assert_allclose(value, dense, rtol=0,
+                               atol=lattice_tolerance(kernel, t, T, N, dense))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_kernels(), st.sampled_from([0.5, 0.75, 1.0]), st.integers(0, 3),
+       st.sampled_from([(40, 1), (10, 1), (80, 3)]), st.integers(2, 300),
+       st.integers(0, 400), st.booleans())
+@example(Kernel.uniform(1.0), 1.0, 1, (40, 1), 200, 50, False)
+def test_kernel_matrix_one_sided_grid_costs_no_more(kernel, ratio, N, lattice, count,
+                                                   periods_out, negative):
+    # Far from 0 the flipped points of a class lie far from its others in m
+    # and keep a run of their own, so no more psi is evaluated than one run
+    # per residue class, or than the direct path, would take.
+    classes, periods = lattice
+    T = ratio / (2.0 * kernel.bandwidth_B)
+    k = periods_out * classes + np.arange(count)
+    if negative:
+        k = -k
+    t = k * (T * periods / classes)
+    with counted_psi() as counts:
+        value = _kernel_matrix(kernel, t, T, N)
+    assert sum(counts) <= min(np.sum(unpaired_runs(k, periods, classes, N)),
+                              value.size)
+    dense = dense_kernel_matrix(kernel, t, T, N)
+    np.testing.assert_allclose(value, dense, rtol=0,
+                               atol=lattice_tolerance(kernel, t, T, N, dense))
+
+
+@pytest.mark.parametrize("kernel", [Kernel.uniform(1.0),
+                                    Kernel.from_spec(random_weight_spec(3))],
+                         ids=["uniform", "spec"])
+@pytest.mark.parametrize("t_over_T", [np.array(0.3), np.array([0.0, 0.4, -1.7, 25.0]),
+                                      np.arange(-40, 41).reshape(3, 27) / 8.0])
+def test_power_function_and_cardinal_values_at_N0(kernel, t_over_T):
+    # one node: R = [psi0], u = psi(t) / psi0 and P^2 = psi0 - psi(t)^2 / psi0
+    T = 0.7 / (2.0 * kernel.bandwidth_B)
+    t = t_over_T * T
+    gram = build_gram(kernel, T, 0)
+    psi0, v = kernel.psi0, np.asarray(psi_closed_form(kernel, t))
+    u = _cardinal_values(gram, t)
+    assert u.shape == (1,) + t.shape
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(u[0], v / psi0, rtol=0,
+                               atol=4.0 * eps * np.max(np.abs(v)) / psi0)
+    p = power_function(gram, t)
+    assert p.shape == np.atleast_1d(t).shape
+    np.testing.assert_allclose(p ** 2, np.atleast_1d(psi0 - v * v / psi0), rtol=0,
+                               atol=16.0 * eps * psi0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(lattice_cases(), st.integers(0, 2**32 - 1))
 def test_expansions_match_dense_reference(case, seed):

@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from bandlim import (BandError, DensityGrid, Kernel, WeightSpec, psi_closed_form,
                      psi_quadrature, shannon_kernel)
-from bandlim import weights as weights_module
+from bandlim import kernel as kernel_module, weights as weights_module
 from bandlim.kernel import _BLOCK
 from bandlim.weights import NonPositiveWeightError
 from conftest import (random_weight_spec, tabulated_transform_reference,
@@ -52,6 +52,16 @@ class TestUniformKernel:
         t = np.linspace(-40, 40, 4001)
         np.testing.assert_array_equal(psi_closed_form(k, t),
                                       psi_closed_form(Kernel.from_spec(validated), t))
+
+    @pytest.mark.parametrize("B", [np.inf, np.nan, 0.0, -1.0])
+    def test_bandwidth_must_be_positive_and_finite(self, B):
+        # an infinite bandwidth once gave a kernel whose psi is NaN
+        grid = DensityGrid(np.linspace(-1.0, 1.0, 5), np.ones(5))
+        spec = random_weight_spec(4, bandwidth_B=1.0)
+        for build in (lambda: Kernel.uniform(B), lambda: Kernel.from_grid(B, grid),
+                      lambda: Kernel(bandwidth_B=B, spec=spec)):
+            with pytest.raises(ValueError, match="bandwidth_B must be positive and finite"):
+                build()
 
     @pytest.mark.parametrize("level", [0.0, -1.0, np.nan, np.inf])
     def test_flat_level_must_be_positive_and_finite(self, level):
@@ -187,6 +197,20 @@ def test_closed_form_matches_dense_reference(spec, t):
     assert value.shape == t.shape
     np.testing.assert_allclose(value, dense_reference(spec, t), rtol=0,
                                atol=reference_tolerance(spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.05, 20.0), st.floats(1e-3, 1e3), times_strategy)
+@example(1.0, 1.0, np.linspace(-3.0, 3.0, 2 * _BLOCK + 5))
+@example(0.8, 1.0, np.array(0.0))
+def test_flat_spec_is_bitwise_the_floor_term(B, level, t):
+    # no spline mass: the spline term is not evaluated, so nothing is added
+    k = Kernel.uniform(B, level)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_module, "_clenshaw", _unreachable)
+        value = np.asarray(psi_closed_form(k, t))
+    expected = np.asarray(2.0 * level * B * np.sinc(2.0 * B * t))
+    assert value.shape == t.shape and value.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=5, deadline=None)

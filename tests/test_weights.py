@@ -21,6 +21,13 @@ def band_grid(count=513):
 
 
 class TestWeightSpec:
+    @pytest.mark.parametrize("B", [np.inf, np.nan, 0.0, -1.0])
+    def test_bandwidth_must_be_positive_and_finite(self, B):
+        for build in (lambda: WeightSpec(B, 3, 2, np.ones(5), 0.1),
+                      lambda: weights_module.flat_spec(B, 1.0)):
+            with pytest.raises(ValueError, match="bandwidth_B must be positive and finite"):
+                build()
+
     def test_spacing_recompute(self):
         spec = random_weight_spec(0)
         expected = 2.0 * np.pi * spec.bandwidth_B / (
