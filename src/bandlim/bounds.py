@@ -8,18 +8,26 @@ kernel power function
     P^2(t) = psi(0) - 2 sum_n Re(u_n(t) psi(nT - t))
              + sum_{n,m} u_m(t) psi(nT - mT) u_n(t),
 
-which vanishes at the sample nodes. A matched-filter tail adversary
-realizes the classical bound on a truncated index set, providing a
-constructive worst case.
+which vanishes at the sample nodes. With the cardinal values
+u = R^{-1} psi(t - nT) it equals the LMMSE error variance, the Schur form
+psi(0) - v R^{-1} v of the kernel row v = psi(t - nT). `power_function`
+takes that form from one triangular solve per half of R and finishes only
+the points near the nodes, where it cancels to roundoff, in the
+second-order form above. A matched-filter tail adversary realizes the
+classical bound on a truncated index set, providing a constructive worst
+case.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .interpolate import _cardinal_halves, truncated_shannon, wnorm_sq
+from .interpolate import _cardinal_halves, _whitened_halves, truncated_shannon, wnorm_sq
 
 POWER_CLAMP = 1e-12
+# Below this multiple of max(1, |psi0|) the Schur P^2 is finished in the
+# second-order form (`power_function`)
+_SECOND_ORDER_BELOW = np.sqrt(np.finfo(float).eps)
 FEASIBILITY_RTOL = 1e-9
 
 
@@ -64,11 +72,17 @@ class MinimaxAdversary:
 def power_function(gram, t):
     """Power function P(t) >= 0 of the Gram system, zero at the nodes.
 
-    The kernel values v[:, j] = psi(t_j - nT) and the cardinal values
-    u = R^{-1} v come from `interpolate._cardinal_halves`, folded into the
-    even and odd halves E, O of R: v = (v+, v-) and u = (a, b) with
-    a = E^{-1} v+ and b = O^{-1} v-. P^2 keeps the second-order form
-    ``psi0 - 2 (a.v+ + b.v-) + a.E a + b.O b``, which is
+    The kernel values v[:, j] = psi(t_j - nT) are folded into the even and
+    odd halves E, O of R, v = (v+, v-), and each half is solved in two
+    stages (`interpolate._whitened_halves`, `interpolate._cardinal_halves`).
+    The first stage is one triangular solve per half, w = v L^{-T} for a
+    block L L^T, and gives the Schur form ``P^2 = psi0 - |w+|^2 - |w-|^2``
+    (the LMMSE error variance psi0 - v.R^{-1} v). Near the nodes that form
+    cancels to roundoff of psi0, which sqrt lifts to sqrt(eps psi0); so every
+    point whose Schur P^2 falls below sqrt(eps) max(1, |psi0|) is finished
+    by the second stage, the cardinal values a = E^{-1} v+ and
+    b = O^{-1} v-, and takes the second-order form
+    ``psi0 - 2 (a.v+ + b.v-) + a.E a + b.O b`` instead, which is
     ``psi0 - 2 u.v + u.R u`` in the orthonormal fold and whose terms cancel
     at the nodes. The kernel is even and the nodes are symmetric about 0, so
     P(-t) = P(t): P is evaluated once per distinct |t| and then spread back,
@@ -77,10 +91,15 @@ def power_function(gram, t):
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     s, back = np.unique(np.abs(t.ravel()), return_inverse=True)
-    (even, v_even, a), (odd, v_odd, b) = _cardinal_halves(gram, s)
+    halves = _whitened_halves(gram, s)
     psi0 = gram.kernel.psi0
-    p2 = (psi0 - 2.0 * (_row_dot(a, v_even) + _row_dot(b, v_odd))
-          + _row_dot(a, a @ even) + _row_dot(b, b @ odd))
+    p2 = psi0 - sum(_row_dot(w, w) for _, _, _, w in halves)
+    near = np.flatnonzero(p2 < _SECOND_ORDER_BELOW * max(1.0, abs(psi0)))
+    if near.size:
+        (even, v_even, a), (odd, v_odd, b) = (
+            (block, v[near], _cardinal_halves(chol, w[near])) for block, chol, v, w in halves)
+        p2[near] = (psi0 - 2.0 * (_row_dot(a, v_even) + _row_dot(b, v_odd))
+                    + _row_dot(a, a @ even) + _row_dot(b, b @ odd))
     floor = -POWER_CLAMP * max(1.0, abs(psi0))
     if np.any(p2 < floor):
         raise NegativePowerError(

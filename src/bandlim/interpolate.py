@@ -17,8 +17,14 @@ solved by folding its right-hand side into these coordinates (`_fold`),
 solving in each half and unfolding: a quarter of the Cholesky work of R and
 half of each solve. The weighted norm c^H R c is the sum of the same
 quadratic form over the two halves of the folded c. The kernel values
-psi(t - nT) for the cardinals and the power function are solved from the
-right, one row per evaluation point, by the triangular factor of each half.
+psi(t - nT) for the cardinals and the power function, one row per
+evaluation point, are solved from the right in two stages by the Cholesky
+factor L of each half: the first (`_whitened_halves`) gives w = v L^{-T},
+whose squared row norms, summed over the halves, are the Schur term
+v R^{-1} v of the power function, and the second (`_cardinal_halves`) the
+cardinal values u = w L^{-1}. `_cardinal_values` takes both stages on every
+row; `bounds.power_function` takes the second only on the rows near the
+nodes.
 
 The interpolant, its cardinals and the power function all read the kernel
 matrix psi(t_j - nT) from `_kernel_matrix`. It groups the points by residue
@@ -267,21 +273,23 @@ def cardinal(gram, n, t):
 
 def _cardinal_values(gram, t):
     """Cardinal values u = R^{-1} v of the kernel values v = psi(t - nT), with
-    shape (2N+1,) + t.shape."""
+    shape (2N+1,) + t.shape: both stages of every row, in each half."""
     t = np.asarray(t, dtype=float)
-    (_, _, u_even), (_, _, u_odd) = _cardinal_halves(gram, t.ravel())
-    return _unfold(u_even.T, u_odd.T).reshape((gram.size,) + t.shape)
+    return _unfold(*(_cardinal_halves(chol, w).T
+                     for _, chol, _, w in _whitened_halves(gram, t.ravel()))
+                   ).reshape((gram.size,) + t.shape)
 
 
-def _cardinal_halves(gram, t):
-    """(block, folded v, folded u) for the even and the odd half, at 1-d ``t``.
+def _whitened_halves(gram, t):
+    """The first stage at 1-d ``t``: (block, L, folded v, w) for the even and
+    the odd half, with block = L L^T.
 
-    v = psi(t - nT) and u = R^{-1} v in the coordinates of `_fold`, one row
-    per point: in each half u = v block^{-1}, of shape (t.size, half size).
-    With block = L L^T, that is two triangular solves from the right, by L^T
-    and then by L (BLAS ``dtrsm``), which timed faster than LAPACK's
-    left-side ``potrs`` on the transpose. The factor comes first: a Gram that
-    does not factor raises before any psi.
+    v = psi(t - nT) in the coordinates of `_fold`, one row per point, and
+    w = v L^{-T}, one triangular solve from the right (BLAS ``dtrsm``, which
+    timed faster than LAPACK's left-side ``potrs`` on the transpose). Then
+    ``w.w`` is ``v block^{-1} v`` row by row, the Schur term of the power
+    function. The factor comes first: a Gram that does not factor raises
+    before any psi.
     """
     halves = gram.factor()
     if not np.all(np.isfinite(t)):
@@ -290,10 +298,15 @@ def _cardinal_halves(gram, t):
     result = []
     for block, (chol, _), part in zip(gram.blocks, halves, _fold(v.T)):
         part = part.T  # Fortran-ordered, as dtrsm reads it without a copy
-        u = dtrsm(1.0, chol, part, side=1, lower=1, trans_a=1)
-        u = dtrsm(1.0, chol, u, side=1, lower=1, trans_a=0, overwrite_b=1)
-        result.append((block, part, u))
+        result.append((block, chol, part, dtrsm(1.0, chol, part, side=1, lower=1, trans_a=1)))
     return result
+
+
+def _cardinal_halves(chol, w):
+    """The second stage: the folded cardinal rows u = w L^{-1} = v block^{-1}
+    of rows ``w`` of `_whitened_halves` in the half whose factor is L. ``w``
+    is overwritten where its layout lets dtrsm work in place."""
+    return dtrsm(1.0, chol, w, side=1, lower=1, trans_a=0, overwrite_b=1)
 
 
 def _halves(r):

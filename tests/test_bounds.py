@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,6 +10,7 @@ from bandlim import (AnalyticSignal, InfeasibleBallError, Kernel, SampleSet,
                      power_function, psi_closed_form, sample_signal,
                      shannon_pointwise_bound, sinc_partition_check, solve,
                      weighted_pointwise_bound, wnorm_sq)
+import bandlim.interpolate as interpolate_module
 from bandlim.interpolate import _cardinal_values, _kernel_matrix
 from conftest import flat_gram_reference, random_weight_spec
 
@@ -92,6 +95,26 @@ class TestPowerFunction:
             if previous is not None:
                 assert np.all(p2 <= previous + 1e-12 * max(1.0, psi0))
             previous = p2
+
+
+def test_second_stage_solves_only_the_node_rows(lowpass_kernel):
+    # A dense_grid-shaped lattice: N = 60 and step T/40 over [-8.5, 8.5], so
+    # 341 distinct |t|, 9 of them nodes. Each half solves all 341 rows by L^T
+    # (the Schur form) and only the node rows, where P^2 falls below the
+    # gate, by L as well (the second-order form).
+    T, N = 1.0 / B, 60
+    gram = build_gram(lowpass_kernel, T, N)
+    t = np.arange(-340, 341) * (T / 40)
+    solved = []
+
+    def counting(alpha, a, b, **kwargs):
+        solved.append((kwargs["trans_a"], b.shape[0]))
+        return dtrsm(alpha, a, b, **kwargs)
+
+    dtrsm = interpolate_module.dtrsm
+    with patch.object(interpolate_module, "dtrsm", counting):
+        power_function(gram, t)
+    assert sorted(solved) == [(0, 9), (0, 9), (1, 341), (1, 341)]
 
 
 @st.composite

@@ -14,7 +14,7 @@ from bandlim import (DensityGrid, Kernel, NotPositiveDefiniteError, PSDModel, Sa
                      psi_closed_form, sample_signal, solve, squared_errors,
                      truncated_shannon, wnorm_sq)
 from bandlim.interpolate import _cardinal_values, _fold, _halves, _kernel_matrix, _unfold
-from conftest import dense_gram, random_weight_spec
+from conftest import dense_gram, grid_kernel_reference, random_weight_spec
 
 B = 1.0
 
@@ -380,9 +380,14 @@ class TestRidge:
 # `_kernel_matrix` against the dense reference psi(t[..., None] - nodes). Off
 # the lattice it must take that very path (bit-identical). On it, each entry's
 # argument may differ from t - nT by a few ulps of the largest argument, so the
-# tolerance is 8 ulps of max|psi| times (1 + 2 pi B max|t - nT|): Bernstein's
-# bound |psi'| <= 2 pi B max|psi| turns argument ulps into ulps of max|psi|.
-# (Over 3000 random lattice cases the largest deviation was 2.4 of these units.)
+# tolerance is 8 ulps of psi0 times (1 + 2 pi B max|t - nT|): psi sums terms
+# whose sizes add up to about psi0 (for a positive density psi0 = max|psi|),
+# so its roundoff is about eps psi0 wherever it is evaluated, and Bernstein's
+# bound |psi'| <= 2 pi B psi0 turns argument ulps into ulps of psi0. Far from 0
+# max|psi| over the window can be 1e-3 psi0 or less, and a bound scaled by it
+# fell below the error of the direct path itself (`FAR_GRID_DRAW`).
+# (Over 3000 random lattice cases the largest deviation was 2.4 units, even
+# with max|psi| in place of psi0.)
 
 TOL_ULPS = 8.0
 
@@ -391,9 +396,9 @@ def dense_kernel_matrix(kernel, t, T, N):
     return psi_closed_form(kernel, t[..., None] - np.arange(-N, N + 1) * T)
 
 
-def lattice_tolerance(kernel, t, T, N, dense):
+def lattice_tolerance(kernel, t, T, N):
     # max|t - nT| over n = -N..N is max|t| + NT
-    return TOL_ULPS * np.finfo(float).eps * np.max(np.abs(dense)) * (
+    return TOL_ULPS * np.finfo(float).eps * kernel.psi0 * (
         1.0 + 2.0 * np.pi * kernel.bandwidth_B * (np.max(np.abs(t)) + N * T))
 
 
@@ -410,6 +415,14 @@ def counted_psi():
         yield counts
 
 
+def grid_kernel(seed, B):
+    """A tabulated-density kernel at bandwidth B: 12 seeded nodes over
+    +-1.1 times the band, with values in [0.1, 3)."""
+    rng = np.random.default_rng(seed)
+    omegas = np.unique(rng.uniform(-1.1, 1.1, 12)) * 2.0 * np.pi * B
+    return Kernel.from_grid(B, DensityGrid(omegas, rng.uniform(0.1, 3.0, omegas.size)))
+
+
 @st.composite
 def matrix_kernels(draw):
     """A spec, grid or uniform kernel at bandwidth 0.5, 1 or 2."""
@@ -420,9 +433,7 @@ def matrix_kernels(draw):
     B = draw(st.sampled_from([0.5, 1.0, 2.0]))
     if kind == "uniform":
         return Kernel.uniform(B)
-    rng = np.random.default_rng(seed)
-    omegas = np.unique(rng.uniform(-1.1, 1.1, 12)) * 2.0 * np.pi * B
-    return Kernel.from_grid(B, DensityGrid(omegas, rng.uniform(0.1, 3.0, omegas.size)))
+    return grid_kernel(seed, B)
 
 
 @st.composite
@@ -478,7 +489,7 @@ def test_kernel_matrix_on_lattice(case):
         assert sum(counts) < value.size
     dense = dense_kernel_matrix(kernel, t, T, N)
     np.testing.assert_allclose(value, dense, rtol=0,
-                               atol=lattice_tolerance(kernel, t, T, N, dense))
+                               atol=lattice_tolerance(kernel, t, T, N))
 
 
 @settings(max_examples=60, deadline=None)
@@ -521,7 +532,24 @@ def test_kernel_matrix_pairs_residues_on_symmetric_grids(kernel, ratio, N, latti
     assert sum(counts) <= np.sum(runs) / 2 + np.max(runs)
     dense = dense_kernel_matrix(kernel, t, T, N)
     np.testing.assert_allclose(value, dense, rtol=0,
-                               atol=lattice_tolerance(kernel, t, T, N, dense))
+                               atol=lattice_tolerance(kernel, t, T, N))
+
+
+def one_sided_grid(kernel, ratio, lattice, count, periods_out, negative):
+    """T and the points k h, h = T periods / classes, for ``count`` steps k
+    from ``periods_out`` periods of the lattice on, negated if ``negative``."""
+    classes, periods = lattice
+    T = ratio / (2.0 * kernel.bandwidth_B)
+    k = periods_out * classes + np.arange(count)
+    if negative:
+        k = -k
+    return T, k, k * (T * periods / classes)
+
+
+# A grid kernel about 142 periods from 0, where max|psi| over the window is
+# 8.3e-4 against psi0 = 1.51: one lattice entry was 3.6e-16 off the direct
+# one, past the 3.4e-16 that a tolerance scaled by max|psi| allowed.
+FAR_GRID_DRAW = (grid_kernel(9890, 0.5), 0.5, 1, (40, 1), 41, 142, False)
 
 
 @settings(max_examples=60, deadline=None)
@@ -529,24 +557,34 @@ def test_kernel_matrix_pairs_residues_on_symmetric_grids(kernel, ratio, N, latti
        st.sampled_from([(40, 1), (10, 1), (80, 3)]), st.integers(2, 300),
        st.integers(0, 400), st.booleans())
 @example(Kernel.uniform(1.0), 1.0, 1, (40, 1), 200, 50, False)
+@example(*FAR_GRID_DRAW)
 def test_kernel_matrix_one_sided_grid_costs_no_more(kernel, ratio, N, lattice, count,
                                                    periods_out, negative):
     # Far from 0 the flipped points of a class lie far from its others in m
     # and keep a run of their own, so no more psi is evaluated than one run
     # per residue class, or than the direct path, would take.
-    classes, periods = lattice
-    T = ratio / (2.0 * kernel.bandwidth_B)
-    k = periods_out * classes + np.arange(count)
-    if negative:
-        k = -k
-    t = k * (T * periods / classes)
+    T, k, t = one_sided_grid(kernel, ratio, lattice, count, periods_out, negative)
     with counted_psi() as counts:
         value = _kernel_matrix(kernel, t, T, N)
+    classes, periods = lattice
     assert sum(counts) <= min(np.sum(unpaired_runs(k, periods, classes, N)),
                               value.size)
     dense = dense_kernel_matrix(kernel, t, T, N)
     np.testing.assert_allclose(value, dense, rtol=0,
-                               atol=lattice_tolerance(kernel, t, T, N, dense))
+                               atol=lattice_tolerance(kernel, t, T, N))
+
+
+def test_far_grid_kernel_entries_match_fifty_digits():
+    # Both paths of `FAR_GRID_DRAW` against the exact transform of the same
+    # density: each is within 8 ulps of psi0, which is `lattice_tolerance`
+    # without its slope allowance. Both read 3.4e-16, about 1 ulp of psi0 and
+    # as much as the whole bound that max|psi| set.
+    kernel, ratio, N, lattice, count, periods_out, negative = FAR_GRID_DRAW
+    T, _, t = one_sided_grid(kernel, ratio, lattice, count, periods_out, negative)
+    exact = grid_kernel_reference(kernel, t, T, N)
+    atol = TOL_ULPS * np.finfo(float).eps * kernel.psi0
+    for value in (_kernel_matrix(kernel, t, T, N), dense_kernel_matrix(kernel, t, T, N)):
+        np.testing.assert_allclose(value, exact, rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("kernel", [Kernel.uniform(1.0),
@@ -583,7 +621,7 @@ def test_expansions_match_dense_reference(case, seed):
     x = rng.standard_normal(gram.size) + 1j * rng.standard_normal(gram.size)
     interp = solve(gram, SampleSet(T, x))
     dense = dense_kernel_matrix(kernel, t, T, N)
-    tol = lattice_tolerance(kernel, t, T, N, dense)
+    tol = lattice_tolerance(kernel, t, T, N)
 
     values = evaluate(interp, t)
     assert np.iscomplexobj(values) and values.shape == t.shape
@@ -594,15 +632,59 @@ def test_expansions_match_dense_reference(case, seed):
     np.testing.assert_allclose(cardinal(gram, 0, t), dense @ p0, rtol=0,
                                atol=tol * np.sum(np.abs(p0)))
 
-    # P^2 = psi0 - 2 u.v + u.R u, perturbed by -2 u.dv to first order in the
-    # kernel row v and by rounding of the same order in the quadratic terms
-    tf = t.ravel()
-    v = dense.reshape(tf.size, -1).T
+    p2, atol = dense_power_sq(kernel, R, dense, tol)
+    np.testing.assert_allclose(power_function(gram, t.ravel()) ** 2, p2, rtol=0, atol=atol)
+
+
+def dense_power_sq(kernel, R, dense, tol):
+    """The second-order P^2 = psi0 - 2 u.v + u.R u, u = R^{-1} v, from the full
+    R and the dense kernel matrix (last axis over n), clamped at 0 and
+    flattened, with its tolerance: P^2 is perturbed by -2 u.dv to first order
+    in the kernel row v and by rounding of the same order in the quadratic
+    terms, so ``tol`` (of one kernel entry) is scaled by max (1 + |u|_1)^2."""
+    v = dense.reshape(-1, R.shape[0]).T
     u = dense_solve(R, v, assume_a="pos")
     p2 = kernel.psi0 - 2.0 * np.sum(u * v, axis=0) + np.sum(u * (R @ u), axis=0)
     u1 = np.sum(np.abs(u), axis=0)
-    np.testing.assert_allclose(power_function(gram, tf) ** 2, np.maximum(p2, 0.0),
-                               rtol=0, atol=tol * np.max((1.0 + u1) ** 2))
+    return np.maximum(p2, 0.0), tol * np.max((1.0 + u1) ** 2)
+
+
+@st.composite
+def near_node_cases(draw):
+    """Kernel, T at or below the Nyquist rate (T 2B in [1, 2]), N <= 40, and
+    points of four kinds, shuffled: exact nodes nT, points within 1e-7 T of
+    nodes, points 1e-7 T to 1e-3 T from nodes (where P^2 crosses the gate of
+    `power_function`) and off-lattice points, each kind maybe absent."""
+    kernel = draw(matrix_kernels())
+    T = draw(st.floats(1.0, 2.0)) / (2.0 * kernel.bandwidth_B)
+    N = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exact, close, crossing, off = (draw(st.integers(0, 6)) for _ in range(4))
+
+    def near(count, lo, hi):
+        # nodes moved by a log-uniform 10^lo..10^hi of T, either way
+        offsets = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(lo, hi, count)
+        return (rng.integers(-N, N + 1, count) + offsets) * T
+
+    t = np.concatenate([rng.integers(-N, N + 1, exact) * T, near(close, -16, -7),
+                        near(crossing, -7, -3),
+                        rng.uniform(-(N + 2) * T, (N + 2) * T, off)])
+    assume(t.size > 0)
+    return kernel, T, N, rng.permutation(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_node_cases())
+def test_power_function_gate_matches_dense_second_order_form(case):
+    # The Schur form away from the nodes and the second-order completion near
+    # them both agree with the dense second-order P^2
+    kernel, T, N, t = case
+    gram = build_gram(kernel, T, N)
+    R = dense_gram(gram)
+    assume(np.linalg.cond(R) < 1e8)
+    dense = dense_kernel_matrix(kernel, t, T, N)
+    p2, atol = dense_power_sq(kernel, R, dense, lattice_tolerance(kernel, t, T, N))
+    np.testing.assert_allclose(power_function(gram, t) ** 2, p2, rtol=0, atol=atol)
 
 
 # --- the even and odd halves against a dense solve ---------------------------
