@@ -22,13 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interpolate import _cardinal_halves, _whitened_halves, truncated_shannon, wnorm_sq
+from . import _lapack
+from ._parallel import run_halves
+from .interpolate import _kernel_halves, truncated_shannon, wnorm_sq
 
 POWER_CLAMP = 1e-12
 # Below this multiple of max(1, |psi0|) the Schur P^2 is finished in the
 # second-order form (`power_function`)
 _SECOND_ORDER_BELOW = np.sqrt(np.finfo(float).eps)
 FEASIBILITY_RTOL = 1e-9
+# Entries of the scratch product of `_row_dot` (0.5 MB)
+_DOT_ENTRIES = 65536
 
 
 class InfeasibleBallError(ValueError):
@@ -74,7 +78,7 @@ def power_function(gram, t):
 
     The kernel values v[:, j] = psi(t_j - nT) are folded into the even and
     odd halves E, O of R, v = (v+, v-), and each half is solved in two
-    stages (`interpolate._whitened_halves`, `interpolate._cardinal_halves`).
+    stages of BLAS ``dtrsm`` (`interpolate._kernel_halves`).
     The first stage is one triangular solve per half, w = v L^{-T} for a
     block L L^T, and gives the Schur form ``P^2 = psi0 - |w+|^2 - |w-|^2``
     (the LMMSE error variance psi0 - v.R^{-1} v). Near the nodes that form
@@ -86,20 +90,45 @@ def power_function(gram, t):
     ``psi0 - 2 u.v + u.R u`` in the orthonormal fold and whose terms cancel
     at the nodes. The kernel is even and the nodes are symmetric about 0, so
     P(-t) = P(t): P is evaluated once per distinct |t| and then spread back,
-    and a grid symmetric about 0 costs half the solves. The result has the
-    shape of ``t`` (at least 1-d).
+    and a grid symmetric about 0 costs half the solves. The first stage
+    with its row sums, and the second stage, each take the two halves
+    through `run_halves`, the odd one in a worker thread when it is large
+    enough. The result has the shape of ``t`` (at least 1-d).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     s, back = np.unique(np.abs(t.ravel()), return_inverse=True)
-    halves = _whitened_halves(gram, s)
+    halves = _kernel_halves(gram, s)
     psi0 = gram.kernel.psi0
-    p2 = psi0 - sum(_row_dot(w, w) for _, _, _, w in halves)
+    N = gram.half_count_N
+    products = [_row_buffer(w) for _, _, _, w in halves]
+    schur = [np.empty(s.size) for _ in halves]
+
+    def whiten(h):
+        _, chol, _, w = halves[h]
+        _lapack.dtrsm(chol, w, trans=True)
+        _row_dot(w, w, products[h], schur[h])
+
+    run_halves(whiten, s.size * N ** 2)
+    p2 = psi0 - sum(schur)
     near = np.flatnonzero(p2 < _SECOND_ORDER_BELOW * max(1.0, abs(psi0)))
     if near.size:
-        (even, v_even, a), (odd, v_odd, b) = (
-            (block, v[near], _cardinal_halves(chol, w[near])) for block, chol, v, w in halves)
-        p2[near] = (psi0 - 2.0 * (_row_dot(a, v_even) + _row_dot(b, v_odd))
-                    + _row_dot(a, a @ even) + _row_dot(b, b @ odd))
+        rows = [(v[near], np.asfortranarray(w[near])) for _, _, v, w in halves]
+        products = [_row_buffer(a) for _, a in rows]
+        dots = [np.empty((2, near.size)) for _ in rows]
+
+        def cardinal_rows(h):
+            _, chol, _, _ = halves[h]
+            v, a = rows[h]
+            _lapack.dtrsm(chol, a, trans=False)
+            _row_dot(a, v, products[h], dots[h][0])
+
+        run_halves(cardinal_rows, near.size * N ** 2)
+        # numpy's matmul runs on a BLAS of its own, kept to the caller: a
+        # second concurrent caller would make it keep a second work buffer
+        for (block, _, _, _), (_, a), product, dot in zip(halves, rows, products, dots):
+            _row_dot(a, a @ block, product, dot[1])
+        (av, a_e_a), (bv, b_o_b) = dots
+        p2[near] = psi0 - 2.0 * (av + bv) + a_e_a + b_o_b
     floor = -POWER_CLAMP * max(1.0, abs(psi0))
     if np.any(p2 < floor):
         raise NegativePowerError(
@@ -183,9 +212,21 @@ def minimax_worstcase(samples, E, t, tail_range=10_000, phase=0.0):
                             truncation_deficit=float(deficit))
 
 
-def _row_dot(x, y):
-    # formed row-major, so that each row is summed pairwise
-    return np.sum(np.multiply(x, y, order="C"), axis=1)
+def _row_buffer(x):
+    """The row-major scratch of `_row_dot` for rows like those of ``x``."""
+    rows, width = x.shape
+    return np.empty((min(rows, max(1, _DOT_ENTRIES // max(1, width))), width))
+
+
+def _row_dot(x, y, product, out):
+    """Row sums of x * y into ``out``. The products are formed in the
+    row-major ``product``, as many rows at a time as it holds, so that each
+    row is summed pairwise on its own, as in a full-size product."""
+    rows, step = x.shape[0], product.shape[0]
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        np.add.reduce(np.multiply(x[start:stop], y[start:stop], out=product[:stop - start]),
+                      axis=1, out=out[start:stop])
 
 
 def _check_budget(name, value):

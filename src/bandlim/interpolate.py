@@ -19,12 +19,29 @@ half of each solve. The weighted norm c^H R c is the sum of the same
 quadratic form over the two halves of the folded c. The kernel values
 psi(t - nT) for the cardinals and the power function, one row per
 evaluation point, are solved from the right in two stages by the Cholesky
-factor L of each half: the first (`_whitened_halves`) gives w = v L^{-T},
+factor L of each half (`_kernel_halves`): the first gives w = v L^{-T},
 whose squared row norms, summed over the halves, are the Schur term
-v R^{-1} v of the power function, and the second (`_cardinal_halves`) the
-cardinal values u = w L^{-1}. `_cardinal_values` takes both stages on every
-row; `bounds.power_function` takes the second only on the rows near the
-nodes.
+v R^{-1} v of the power function, and the second the cardinal values
+u = w L^{-1}. `_cardinal_values` takes both stages on every row;
+`bounds.power_function` takes the second only on the rows near the nodes.
+
+The two halves are independent, so the factorization (`_factor_halves`)
+and the stages of `bounds.power_function` each solve the even half in the
+caller and the odd one in a worker thread at the same time
+(`_parallel.run_halves`), when the work is large enough, the process may
+use two CPUs and the BLAS runs one thread.
+Each half's arithmetic, and the order in which the halves are combined, are
+the same either way, so the results are bitwise those of one thread. The
+LAPACK and BLAS calls go through `_lapack`, ctypes bindings that release the
+GIL: scipy's wrappers hold it. On a 2-core host with the BLAS on one thread,
+at N = 1000 (a 1000 x 1000 block, 341 rows), two scipy ``dtrsm`` calls took
+8.3 ms one after the other and 8.4 ms in two threads, and two ``cho_factor``
+calls 10.7 and 8.9 ms; through `_lapack`, ``dtrsm`` went from 8.3 to 4.2 ms
+and ``dpotrf`` from 9.0 to 4.9 ms. The other solves stay in the caller:
+those of `solve` and `cardinal_coeffs` have one right-hand side each, and
+those of `_cardinal_values` (one point per call, from `stochastic`) and the
+quadratic forms of `wnorm_sq` would reach the split's size only from
+N = 1225, past every benchmarked shape.
 
 The interpolant, its cardinals and the power function all read the kernel
 matrix psi(t_j - nT) from `_kernel_matrix`. It groups the points by residue
@@ -37,10 +54,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpocon
 
+from . import _lapack
+from ._parallel import run_halves
 from .kernel import psi_closed_form, shannon_kernel
 
 _SQRT_HALF = np.sqrt(0.5)
@@ -163,7 +180,7 @@ class GramMatrix:
         """
         if self.cholesky is not None:
             norm = inverse_norm = 0.0
-            for block, (chol, _) in zip(self.blocks, self.cholesky):
+            for block, chol in zip(self.blocks, self.cholesky):
                 if block.size:  # dpocon rejects the empty odd block of N = 0
                     block_norm = np.linalg.norm(block, 1)
                     rcond, _ = dpocon(chol, block_norm, uplo="L")
@@ -275,38 +292,34 @@ def _cardinal_values(gram, t):
     """Cardinal values u = R^{-1} v of the kernel values v = psi(t - nT), with
     shape (2N+1,) + t.shape: both stages of every row, in each half."""
     t = np.asarray(t, dtype=float)
-    return _unfold(*(_cardinal_halves(chol, w).T
-                     for _, chol, _, w in _whitened_halves(gram, t.ravel()))
-                   ).reshape((gram.size,) + t.shape)
+    halves = _kernel_halves(gram, t.ravel())
+    for _, chol, _, u in halves:
+        _lapack.dtrsm(chol, u, trans=True)
+        _lapack.dtrsm(chol, u, trans=False)
+    return _unfold(*(u.T for _, _, _, u in halves)).reshape((gram.size,) + t.shape)
 
 
-def _whitened_halves(gram, t):
-    """The first stage at 1-d ``t``: (block, L, folded v, w) for the even and
-    the odd half, with block = L L^T.
+def _kernel_halves(gram, t):
+    """The kernel values at 1-d ``t`` in each half, ready for the two stages:
+    (block, L, v, w) for the even and the odd half, with block = L L^T.
 
-    v = psi(t - nT) in the coordinates of `_fold`, one row per point, and
-    w = v L^{-T}, one triangular solve from the right (BLAS ``dtrsm``, which
-    timed faster than LAPACK's left-side ``potrs`` on the transpose). Then
-    ``w.w`` is ``v block^{-1} v`` row by row, the Schur term of the power
-    function. The factor comes first: a Gram that does not factor raises
-    before any psi.
+    v = psi(t - nT) in the coordinates of `_fold`, one row per point, and w
+    a Fortran-ordered copy of it for the stages to overwrite, each a
+    triangular solve from the right (`_lapack.dtrsm`, which timed faster
+    than LAPACK's left-side ``potrs`` on the transpose): the first
+    w = v L^{-T}, after which ``w.w`` is ``v block^{-1} v`` row by row (the
+    Schur term of the power function), and the second the cardinal rows
+    u = w L^{-1} = v block^{-1}. The factor comes first: a Gram that does
+    not factor raises before any psi.
     """
     halves = gram.factor()
     if not np.all(np.isfinite(t)):
         raise ValueError("evaluation times must be finite")
-    v = _kernel_matrix(gram.kernel, t, gram.spacing_T, gram.half_count_N)
-    result = []
-    for block, (chol, _), part in zip(gram.blocks, halves, _fold(v.T)):
-        part = part.T  # Fortran-ordered, as dtrsm reads it without a copy
-        result.append((block, chol, part, dtrsm(1.0, chol, part, side=1, lower=1, trans_a=1)))
-    return result
-
-
-def _cardinal_halves(chol, w):
-    """The second stage: the folded cardinal rows u = w L^{-1} = v block^{-1}
-    of rows ``w`` of `_whitened_halves` in the half whose factor is L. ``w``
-    is overwritten where its layout lets dtrsm work in place."""
-    return dtrsm(1.0, chol, w, side=1, lower=1, trans_a=0, overwrite_b=1)
+    # the kernel matrix is dropped before the copies are made
+    parts = [part.T for part in
+             _fold(_kernel_matrix(gram.kernel, t, gram.spacing_T, gram.half_count_N).T)]
+    return [(block, chol, part, np.array(part, order="F"))
+            for block, chol, part in zip(gram.blocks, halves, parts)]
 
 
 def _halves(r):
@@ -331,13 +344,17 @@ def _halves(r):
 
 
 def _factor_halves(blocks):
-    """The lower Cholesky factor of each block, or None when one of them is
-    not numerically positive definite."""
-    try:
-        return tuple(cho_factor(block, lower=True, check_finite=False)
-                     for block in blocks)
-    except np.linalg.LinAlgError:
-        return None
+    """The lower Cholesky factor of each block, Fortran-ordered with the
+    block's upper triangle left as it is (as ``cho_factor`` leaves it), or
+    None when one of them is not numerically positive definite."""
+    factors = [np.array(block, order="F") for block in blocks]
+    infos = [0, 0]
+
+    def factor(h):
+        infos[h] = _lapack.potrf(factors[h])
+
+    run_halves(factor, factors[1].shape[0] ** 3 / 3)
+    return None if any(infos) else tuple(factors)
 
 
 def _fold(x):
@@ -364,10 +381,9 @@ def _unfold(even, odd):
 
 
 def _solve_halves(halves, x):
-    """R^{-1} x for real or complex x over n = -N..N on axis 0, one
-    Cholesky solve per half of `_fold(x)`."""
-    return _unfold(*(_cho_solve_any(factor, part)
-                     for factor, part in zip(halves, _fold(x))))
+    """R^{-1} x for real or complex 1-d x over n = -N..N, one Cholesky solve
+    per half of `_fold(x)`."""
+    return _unfold(*(_cho_solve_any(chol, part) for chol, part in zip(halves, _fold(x))))
 
 
 def _expand(kernel, T, N, coeffs, t):
@@ -477,8 +493,12 @@ def wnorm_sq(interp):
                      for block, part in zip(interp.gram.blocks, _fold(interp.coeffs_c))))
 
 
-def _cho_solve_any(factor, rhs):
+def _cho_solve_any(chol, rhs):
+    """block^{-1} rhs for the lower Cholesky factor ``chol`` of block, in
+    place for a real 1-d ``rhs``, as two real solves for a complex one."""
     if np.iscomplexobj(rhs):
-        return (cho_solve(factor, rhs.real, check_finite=False).astype(complex)
-                + 1j * cho_solve(factor, rhs.imag, check_finite=False))
-    return cho_solve(factor, rhs, check_finite=False)
+        # complex64 samples give complex64 parts; each solve is in float64
+        return (_cho_solve_any(chol, np.array(rhs.real, dtype=float)).astype(complex)
+                + 1j * _cho_solve_any(chol, np.array(rhs.imag, dtype=float)))
+    _lapack.potrs(chol, rhs)
+    return rhs

@@ -21,11 +21,10 @@ number of CPUs.
 """
 
 import operator
-import os
-import threading
 
 import numpy as np
 
+from ._parallel import cpu_count, run_split
 from .interpolate import _cardinal_values, build_gram, evaluate, solve
 from .kernel import Kernel, psi_closed_form
 
@@ -138,8 +137,8 @@ def squared_errors(psd, interpolator_kind, T, N, t_eval, realizations, seed,
             b = rng.standard_normal(nfreq)
             errors[k] = (a @ c + b @ s) ** 2
 
-    chunks = max(1, min(_cpu_count(), realizations // _MIN_CHUNK))
-    _run_split(fill, [realizations * i // chunks for i in range(chunks + 1)])
+    chunks = max(1, min(cpu_count(), realizations // _MIN_CHUNK))
+    run_split(fill, [realizations * i // chunks for i in range(chunks + 1)])
     return errors
 
 
@@ -152,46 +151,6 @@ def _count(name, value):
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     return value
-
-
-def _cpu_count():
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _run_split(fill, bounds):
-    """Call ``fill(start, stop)`` for each consecutive pair of ``bounds``: the
-    first pair in the caller, every other pair in a thread of its own.
-
-    Every thread is joined before this returns or raises. A thread's exception
-    is kept rather than printed, and that of the first failing chunk is
-    re-raised here.
-    """
-    pairs = list(zip(bounds[:-1], bounds[1:]))
-    failures = [None] * len(pairs)
-
-    def guarded(i, start, stop):
-        try:
-            fill(start, stop)
-        except BaseException as exc:
-            failures[i] = exc
-
-    started = []
-    try:
-        for i, (start, stop) in enumerate(pairs[1:], 1):
-            thread = threading.Thread(target=guarded, args=(i, start, stop))
-            thread.start()
-            started.append(thread)
-        fill(*pairs[0])
-    finally:
-        for thread in started:
-            thread.join()
-    for exc in failures:
-        if exc is not None:
-            raise exc
 
 
 def _predictor_row(psd, kind, T, N, t_eval):

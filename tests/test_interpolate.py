@@ -14,7 +14,8 @@ from bandlim import (DensityGrid, Kernel, NotPositiveDefiniteError, PSDModel, Sa
                      psi_closed_form, sample_signal, solve, squared_errors,
                      truncated_shannon, wnorm_sq)
 from bandlim.interpolate import _cardinal_values, _fold, _halves, _kernel_matrix, _unfold
-from conftest import dense_gram, grid_kernel_reference, random_weight_spec
+from conftest import (TOL_ULPS, dense_gram, grid_kernel_reference, lattice_tolerance,
+                      random_weight_spec)
 
 B = 1.0
 
@@ -378,28 +379,12 @@ class TestRidge:
 # --- kernel matrices from residue classes of t mod T -------------------------
 #
 # `_kernel_matrix` against the dense reference psi(t[..., None] - nodes). Off
-# the lattice it must take that very path (bit-identical). On it, each entry's
-# argument may differ from t - nT by a few ulps of the largest argument, so the
-# tolerance is 8 ulps of psi0 times (1 + 2 pi B max|t - nT|): psi sums terms
-# whose sizes add up to about psi0 (for a positive density psi0 = max|psi|),
-# so its roundoff is about eps psi0 wherever it is evaluated, and Bernstein's
-# bound |psi'| <= 2 pi B psi0 turns argument ulps into ulps of psi0. Far from 0
-# max|psi| over the window can be 1e-3 psi0 or less, and a bound scaled by it
-# fell below the error of the direct path itself (`FAR_GRID_DRAW`).
-# (Over 3000 random lattice cases the largest deviation was 2.4 units, even
-# with max|psi| in place of psi0.)
-
-TOL_ULPS = 8.0
+# the lattice it must take that very path (bit-identical). On it, each entry
+# is checked to `conftest.lattice_tolerance`.
 
 
 def dense_kernel_matrix(kernel, t, T, N):
     return psi_closed_form(kernel, t[..., None] - np.arange(-N, N + 1) * T)
-
-
-def lattice_tolerance(kernel, t, T, N):
-    # max|t - nT| over n = -N..N is max|t| + NT
-    return TOL_ULPS * np.finfo(float).eps * kernel.psi0 * (
-        1.0 + 2.0 * np.pi * kernel.bandwidth_B * (np.max(np.abs(t)) + N * T))
 
 
 @contextmanager
@@ -636,6 +621,19 @@ def test_expansions_match_dense_reference(case, seed):
     np.testing.assert_allclose(power_function(gram, t.ravel()) ** 2, p2, rtol=0, atol=atol)
 
 
+def test_power_function_at_split_size_matches_dense_form(lowpass_kernel):
+    # N = 300 with a grid of step T/8 over +-40 T: the factors and both
+    # stages pass `_parallel._MIN_SPLIT_FLOPS`, so with the BLAS on one thread
+    # and two CPUs or more the odd halves run in a worker thread
+    T, N = 1.2 / (2.0 * B), 300
+    t = np.arange(-320, 321) * (T / 8)
+    gram = build_gram(lowpass_kernel, T, N)
+    dense = dense_kernel_matrix(lowpass_kernel, t, T, N)
+    p2, atol = dense_power_sq(lowpass_kernel, dense_gram(gram), dense,
+                              lattice_tolerance(lowpass_kernel, t, T, N))
+    np.testing.assert_allclose(power_function(gram, t) ** 2, p2, rtol=0, atol=atol)
+
+
 def dense_power_sq(kernel, R, dense, tol):
     """The second-order P^2 = psi0 - 2 u.v + u.R u, u = R^{-1} v, from the full
     R and the dense kernel matrix (last axis over n), clamped at 0 and
@@ -716,14 +714,22 @@ def test_halves_match_dense_solve(kernel, ratio, N, sigma2, complex_samples, see
         x = x + 1j * rng.standard_normal(gram.size)
     t = rng.uniform(-(N + 2) * T, (N + 2) * T, (2, 3))
 
-    def check(value, reference, matrix_cond):
-        units = np.finfo(float).eps * matrix_cond * np.max(np.abs(reference))
+    def check(value, reference, matrix_cond, eps=np.finfo(float).eps):
+        units = eps * matrix_cond * np.max(np.abs(reference))
         np.testing.assert_allclose(value, reference, rtol=0,
                                    atol=HALVES_TOL_UNITS * units)
 
     ridged = R + sigma2 * np.eye(gram.size)
     check(solve(gram, SampleSet(T, x), sigma2).coeffs_c,
           dense_solve(ridged, x, assume_a="pos"), np.linalg.cond(ridged))
+    if complex_samples:
+        # complex64 samples keep their dtype in SampleSet, and so are folded
+        # in single precision; the solves are in float64
+        x64 = x.astype(np.complex64)
+        coeffs = solve(gram, SampleSet(T, x64), sigma2).coeffs_c
+        assert coeffs.dtype == np.complex128
+        check(coeffs, dense_solve(ridged, x64.astype(complex), assume_a="pos"),
+              np.linalg.cond(ridged), np.finfo(np.float32).eps)
     check(np.array([cardinal_coeffs(gram, n) for n in range(-N, N + 1)]),
           dense_solve(R, np.eye(gram.size), assume_a="pos"), cond)
     v = np.moveaxis(_kernel_matrix(kernel, t, T, N), -1, 0)

@@ -1,0 +1,199 @@
+"""The GIL-free LAPACK bindings and the two-CPU split of the Gram halves."""
+
+import os
+import sys
+import threading
+import time
+from contextlib import ExitStack, contextmanager
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtrsm
+
+from bandlim import (Kernel, NotPositiveDefiniteError, SampleSet, build_gram, power_function,
+                     solve, wnorm_sq)
+from bandlim import _lapack, _parallel
+from bandlim.interpolate import _cardinal_values
+
+B = 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 40), st.booleans(), st.integers(0, 2**32 - 1))
+def test_bindings_match_scipy_bitwise(n, m, definite, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, n + 2))
+    block = x @ x.T + 0.1 * np.eye(n)
+    if not definite and n:
+        # a positive definite matrix has a positive diagonal
+        k = rng.integers(n)
+        block[k, k] = -block[k, k]
+    factor = np.array(block, order="F")
+    info = _lapack.potrf(factor)
+    try:
+        expected, _ = cho_factor(block, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        assert info > 0
+        return
+    assert info == 0
+    assert factor.tobytes(order="A") == expected.tobytes(order="A")
+    rhs = rng.standard_normal(n)
+    solved = rhs.copy()
+    _lapack.potrs(factor, solved)
+    assert solved.tobytes() == cho_solve((expected, True), rhs, check_finite=False).tobytes()
+    rows = np.asfortranarray(rng.standard_normal((m, n)))
+    for trans in (False, True):
+        solved = np.array(rows, order="F")
+        _lapack.dtrsm(factor, solved, trans)
+        reference = dtrsm(1.0, expected, rows, side=1, lower=1, trans_a=int(trans))
+        assert solved.shape == reference.shape
+        assert solved.tobytes(order="F") == reference.tobytes(order="F")
+
+
+def test_bindings_reject_arrays_they_cannot_pass():
+    chol = np.asfortranarray(np.eye(3))
+    rows = np.ones((2, 3), order="F")
+    for bad in (np.ones((2, 3)), np.ones((2, 3), dtype=np.float32, order="F"),
+                np.ones((3, 2), order="F")):
+        with pytest.raises(ValueError, match="Fortran-contiguous float64"):
+            _lapack.dtrsm(chol, bad, True)
+    with pytest.raises(ValueError, match="of shape \\(3, 3\\)"):
+        _lapack.dtrsm(np.asfortranarray(np.eye(2)), rows, False)
+    rows.setflags(write=False)
+    with pytest.raises(ValueError, match="writable"):
+        _lapack.dtrsm(chol, rows, False)
+    chol.setflags(write=False)
+    with pytest.raises(ValueError, match="writable"):
+        _lapack.potrf(chol)
+    with pytest.raises(ValueError, match="of shape \\(3,\\)"):
+        _lapack.potrs(chol, np.ones(4))
+
+
+@contextmanager
+def _split(cpus, blas_threads, min_flops=None):
+    """Pretend the process may run on ``cpus`` CPUs and the BLAS reports
+    ``blas_threads``; yield the threads started meanwhile."""
+    started = []
+    start = threading.Thread.start
+    with ExitStack() as stack:
+        stack.enter_context(patch.object(os, "sched_getaffinity",
+                                         lambda pid: set(range(cpus)), create=True))
+        stack.enter_context(patch.object(_lapack, "blas_threads", lambda: blas_threads))
+        stack.enter_context(patch.object(threading.Thread, "start",
+                                         lambda thread: started.append(thread) or start(thread)))
+        if min_flops is not None:
+            stack.enter_context(patch.object(_parallel, "_MIN_SPLIT_FLOPS", min_flops))
+        yield started
+
+
+def _lattice_case():
+    # N = 150 with T 2B = 1.2, and a grid of step T/16 that holds every node,
+    # so that power_function takes its second stage too
+    T, N = 1.2 / (2.0 * B), 150
+    t = np.arange(-1200, 1201) * (T / 16)
+    samples = SampleSet(T, np.cos(0.7 * np.arange(-N, N + 1)))
+    return T, N, t, samples
+
+
+@pytest.mark.parametrize("cpus, blas_threads", [(1, 1), (2, 2), (4, None)])
+def test_concurrent_halves_are_bitwise_the_inline_ones(lowpass_kernel, cpus, blas_threads):
+    T, N, t, samples = _lattice_case()
+
+    def products(started):
+        """The bytes of each split site's product, and the threads each started."""
+        threads = []
+
+        def counted(call, *args):
+            before = len(started)
+            value = call(*args)
+            threads.append(len(started) - before)
+            return value
+
+        gram = counted(build_gram, lowpass_kernel, T, N)
+        interp = counted(solve, gram, samples)
+        values = [*gram.cholesky, interp.coeffs_c, counted(power_function, gram, t),
+                  counted(_cardinal_values, gram, t), np.float64(counted(wnorm_sq, interp))]
+        return [value.tobytes(order="A") for value in values], threads
+
+    # a short switch interval interleaves the caller and the worker finely
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _split(2, 1, 0) as started:
+            split, threads = products(started)
+    finally:
+        sys.setswitchinterval(interval)
+    # one worker per split site: the factors, and the first stage of
+    # power_function with its row sums and its second stage; the solve, the
+    # cardinals and the quadratic forms stay in the caller
+    assert threads == [1, 0, 2, 0, 0]
+    with _split(cpus, blas_threads, 0) as started:
+        inline, _ = products(started)
+    assert started == []
+    assert split == inline
+
+
+def test_large_halves_split_at_the_default_threshold(lowpass_kernel):
+    T, N, t, _ = _lattice_case()
+    gram = build_gram(lowpass_kernel, T, N)
+    with _split(2, 1) as started:
+        power_function(gram, t)
+    # the first stage, 1201 distinct |t| by 150^2 flops, is past
+    # _MIN_SPLIT_FLOPS; the second, on the 76 distinct |t| at nodes, is not
+    assert len(started) == 1
+
+
+@pytest.mark.parametrize("blas_threads", [2, 8, None])
+def test_multithreaded_or_silent_blas_starts_no_thread(lowpass_kernel, blas_threads):
+    T, N, t, samples = _lattice_case()
+
+    def refuse(thread):
+        raise AssertionError("a thread was started")
+
+    with _split(8, blas_threads, 0), patch.object(threading.Thread, "start", refuse):
+        gram = build_gram(lowpass_kernel, T, N)
+        wnorm_sq(solve(gram, samples))
+        power_function(gram, t)
+        _cardinal_values(gram, t)
+
+
+@pytest.mark.parametrize("min_flops", [0, None])
+def test_unfactored_gram_under_either_path(min_flops):
+    # heavy oversampling drives the flat kernel's eigenvalues below machine zero
+    with _split(2, 1, min_flops):
+        gram = build_gram(Kernel.uniform(B), 0.3 / (2 * B), 15)
+        assert gram.cholesky is None
+        with pytest.raises(NotPositiveDefiniteError):
+            power_function(gram, [0.1])
+
+
+def test_worker_failure_is_raised_after_the_join(lowpass_kernel, capfd):
+    # the odd half fails in the worker only after the caller's even half has
+    # finished, so the failure is seen only if the caller waits for the worker
+    T, N, t, _ = _lattice_case()
+    gram = build_gram(lowpass_kernel, T, N)
+    solve_rows = _lapack.dtrsm
+    finished = []
+
+    def failing(chol, b, trans):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)
+            raise RuntimeError("odd half failed")
+        solve_rows(chol, b, trans)
+        finished.append(b.shape)
+
+    escaped = []
+    before = threading.active_count()
+    with _split(2, 1, 0) as started, patch.object(_lapack, "dtrsm", failing), \
+            patch.object(threading, "excepthook", escaped.append), \
+            pytest.raises(RuntimeError, match="odd half failed"):
+        power_function(gram, t)
+    assert len(started) == 1
+    assert not started[0].is_alive()
+    assert finished == [(t.size // 2 + 1, N + 1)]
+    assert threading.active_count() == before
+    assert escaped == []
+    assert capfd.readouterr().err == ""
