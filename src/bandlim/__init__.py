@@ -11,8 +11,7 @@ density recover the LMMSE estimator of the matching stationary process.
 from .bsplines import bspline_eval
 from .bounds import (BoundReport, InfeasibleBallError, MinimaxAdversary,
                      NegativePowerError, minimax_worstcase, power_function,
-                     shannon_pointwise_bound, sinc_partition_check,
-                     weighted_pointwise_bound)
+                     sinc_partition_check, weighted_pointwise_bound)
 from .interpolate import (GramMatrix, Interpolant, NotPositiveDefiniteError,
                           SampleSet, build_gram, cardinal, cardinal_coeffs,
                           evaluate, solve, truncated_shannon, wnorm_sq)
@@ -20,7 +19,7 @@ from .kernel import Kernel, psi_closed_form, psi_quadrature, shannon_kernel
 from .quadrature import QuadratureError, adaptive_simpson
 from .signals import AnalyticSignal, eval_signal, matched_weights, sample_signal, spectrum
 from .stochastic import (PSDModel, autocorrelation, empirical_mse,
-                         lmmse_interpolate, squared_errors, synthesize_process)
+                         lmmse_interpolate, squared_errors)
 from .weights import (BandError, DensityGrid, WeightFitError, WeightSpec,
                       fit_weights, gaussian_smooth, identity_transform,
                       inverse_weight_eval, normalized, power_transform)
@@ -36,7 +35,7 @@ __all__ = [
     "inverse_weight_eval", "lmmse_interpolate", "matched_weights",
     "minimax_worstcase", "normalized", "power_function",
     "power_transform", "psi_closed_form", "psi_quadrature", "sample_signal",
-    "shannon_kernel", "shannon_pointwise_bound", "sinc_partition_check",
-    "solve", "spectrum", "squared_errors", "synthesize_process",
-    "truncated_shannon", "weighted_pointwise_bound", "wnorm_sq",
+    "shannon_kernel", "sinc_partition_check", "solve", "spectrum",
+    "squared_errors", "truncated_shannon", "weighted_pointwise_bound",
+    "wnorm_sq",
 ]

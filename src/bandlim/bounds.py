@@ -1,11 +1,9 @@
 """Pointwise interpolation-error bounds.
 
-Two routes are covered: the classical bound for truncated sinc
-interpolation of a band- and energy-limited signal, and the weighted-space
-bound ``|xhat(t) - x(t)| <= sqrt(D^2 - |xhat|_W^2) P(t)`` built on the
-kernel power function
+The weighted-space bound ``|xhat(t) - x(t)| <= sqrt(D^2 - |xhat|_W^2) P(t)``
+is built on the kernel power function
 
-    P^2(t) = psi(0) - 2 sum_n Re(u_n(t) psi(nT - t))
+    P^2(t) = psi(0) - 2 sum_n u_n(t) psi(nT - t)
              + sum_{n,m} u_m(t) psi(nT - mT) u_n(t),
 
 which vanishes at the sample nodes. With the cardinal values
@@ -14,8 +12,9 @@ psi(0) - v R^{-1} v of the kernel row v = psi(t - nT). `power_function`
 takes that form from one triangular solve per half of R and finishes only
 the points near the nodes, where it cancels to roundoff, in the
 second-order form above. A matched-filter tail adversary realizes the
-classical bound on a truncated index set, providing a constructive worst
-case.
+classical bound of truncated sinc interpolation under an energy budget,
+C sqrt((1 - sum_n sinc^2(t/T - n)) / T), on a truncated index set,
+providing a constructive worst case.
 """
 
 from dataclasses import dataclass
@@ -155,17 +154,6 @@ def weighted_pointwise_bound(interp, D, t_grid):
                        bound_values=constant * power, constant=constant)
 
 
-def shannon_pointwise_bound(samples, E, t_grid):
-    """Classical bound for truncated sinc interpolation under energy <= E^2."""
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    T = samples.spacing_T
-    constant = _energy_constant(samples, E)
-    ssum = _partition_sum(t_grid, T, samples.indices)
-    power = np.sqrt(np.maximum(1.0 - ssum, 0.0) / T)
-    return BoundReport(t_grid=t_grid, power_values=power,
-                       bound_values=constant * power, constant=constant)
-
-
 def sinc_partition_check(t, T, truncation):
     """Partial sum of sinc^2(t/T - n) over |n| <= truncation.
 
@@ -247,7 +235,3 @@ def _energy_constant(samples, E):
             f"{interp_energy:.6g}; no admissible truth exists")
     return float(np.sqrt(max(gap, 0.0)))
 
-
-def _partition_sum(t_grid, T, indices):
-    s = np.sinc(t_grid[:, None] / T - indices[None, :])
-    return np.sum(s * s, axis=1)

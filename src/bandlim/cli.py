@@ -96,7 +96,7 @@ def compare(config_path, output_dir, seed, quiet):
     """Interpolate a named signal with several methods and tabulate errors."""
     cfg = _load_config(config_path, seed)
     B = _bandwidth(cfg)
-    N = _require(cfg, "half_count_n", int)
+    N = _integer(cfg, "half_count_n")
     T = _spacing(cfg, B)
     grid = _time_grid(cfg)
     kinds = cfg.get("kinds", list(COMPARE_KINDS))
@@ -110,12 +110,12 @@ def compare(config_path, output_dir, seed, quiet):
     columns = {"t": grid, "truth": truth}
     for kind in kinds:
         if kind == "sinc":
-            columns["sinc"] = np.real(truncated_shannon(samples, grid))
+            columns["sinc"] = truncated_shannon(samples, grid)
             continue
         kern = (_kernel_from_config(cfg, B) if kind == "weighted"
                 else Kernel.uniform(B))
         gram = build_gram(kern, T, N)
-        columns[kind] = np.real(evaluate(solve(gram, samples, ridge), grid))
+        columns[kind] = evaluate(solve(gram, samples, ridge), grid)
 
     central = np.abs(grid) <= 0.5 * N * T
     summary = {"bandwidth_hz": B, "half_count_n": N, "spacing_s": T,
@@ -140,7 +140,7 @@ def cardinals(config_path, output_dir, seed, quiet):
     """Emit the center cardinal function against its references."""
     cfg = _load_config(config_path, seed)
     B = _bandwidth(cfg)
-    N = _require(cfg, "half_count_n", int)
+    N = _integer(cfg, "half_count_n")
     T = _spacing(cfg, B)
     grid = _time_grid(cfg)
     kern = _kernel_from_config(cfg, B)
@@ -158,7 +158,7 @@ def bounds(config_path, output_dir, seed, quiet):
     """Emit the power function and pointwise error bound on a grid."""
     cfg = _load_config(config_path, seed)
     B = _bandwidth(cfg)
-    N = _require(cfg, "half_count_n", int)
+    N = _integer(cfg, "half_count_n")
     T = _spacing(cfg, B)
     grid = _time_grid(cfg)
     radius = _require(cfg, "ball_radius", float)
@@ -179,19 +179,12 @@ def mc(config_path, output_dir, seed, quiet):
     """Monte-Carlo mean-squared-error table across interpolator kinds."""
     cfg = _load_config(config_path, seed)
     B = _bandwidth(cfg)
-    N = _require(cfg, "half_count_n", int)
+    N = _integer(cfg, "half_count_n")
     T = _spacing(cfg, B)
     mc_cfg = cfg.get("mc")
     if not isinstance(mc_cfg, dict):
         raise ConfigError("mc commands need an 'mc' config section")
-    raw = mc_cfg.get("realizations", 1000)
-    try:
-        realizations = float(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"mc.realizations is invalid: {exc}") from exc
-    if not realizations.is_integer():
-        raise ConfigError(f"mc.realizations must be an integer, got {raw}")
-    realizations = int(realizations)
+    realizations = _integer(mc_cfg, "mc.realizations", 1000)
     if realizations < 2:
         # the standard error needs two draws or more
         raise ConfigError(f"mc.realizations must be >= 2, got {realizations}")
@@ -199,9 +192,9 @@ def mc(config_path, output_dir, seed, quiet):
     kinds = mc_cfg.get("kinds", list(MSE_KINDS))
     if not kinds or any(k not in MSE_KINDS for k in kinds):
         raise ConfigError(f"mc kinds must be a nonempty subset of {MSE_KINDS}")
-    run_seed = cfg.get("seed")
-    if run_seed is None:
+    if cfg.get("seed") is None:
         raise ConfigError("mc commands need a seed (config key or --seed)")
+    run_seed = _integer(cfg, "seed")
 
     psd = _kernel_from_config(cfg, B)
     rows = []
@@ -239,8 +232,8 @@ def fit(config_path, output_dir, seed, quiet):
         raise ConfigError(f"cannot read density from {density_path}: {exc}") from exc
     transform = _transform_from_config(fit_cfg.get("transform"))
     spec = fit_weights(grid, B,
-                       degree_K=int(fit_cfg.get("degree_k", 3)),
-                       half_count_M=int(fit_cfg.get("half_count_m", 11)),
+                       degree_K=_integer(fit_cfg, "fit.degree_k", 3),
+                       half_count_M=_integer(fit_cfg, "fit.half_count_m", 11),
                        floor_alpha=fit_cfg.get("floor_alpha"),
                        transform=transform)
     path = _output_path(output_dir, cfg, "weights", "weights.json")
@@ -276,6 +269,23 @@ def _require(cfg, key, cast):
         raise ConfigError(f"config key {key!r} is invalid: {exc}") from exc
 
 
+def _integer(section, name, default=None):
+    """The integer config key ``name`` (dotted; its last part is the key in
+    ``section``), or ``default`` when it is absent (required if None). JSON
+    may write 10 as 10.0, so an integral float passes; a bool does not."""
+    key = name.rpartition(".")[2]
+    if key not in section:
+        if default is None:
+            raise ConfigError(f"missing config key {name!r}")
+        return default
+    value = section[key]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value}")
+    if not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} is invalid: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _bandwidth(cfg):
     """``bandwidth_hz``, checked before any subcommand computes with it."""
     bandwidth = _require(cfg, "bandwidth_hz", float)
@@ -296,9 +306,14 @@ def _time_grid(cfg):
     if not isinstance(grid, dict):
         raise ConfigError("config needs a 'grid' section {min_s, max_s, count}")
     try:
-        lo, hi, count = float(grid["min_s"]), float(grid["max_s"]), int(grid["count"])
+        lo, hi = float(grid["min_s"]), float(grid["max_s"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"grid section is invalid: {exc}") from exc
+    count = _integer(grid, "grid.count")
+    # a NaN or infinite end makes the span NaN or infinite too
+    if not np.isfinite(hi - lo):
+        raise ConfigError(f"grid.min_s, grid.max_s and their span must be finite, "
+                          f"got {lo} and {hi}")
     if count < 2 or not hi > lo:
         raise ConfigError("grid needs count >= 2 and max_s > min_s")
     return np.linspace(lo, hi, count)
@@ -337,12 +352,16 @@ def _kernel_from_config(cfg, bandwidth):
             raise ConfigError(f"inline weights invalid: {exc}") from exc
     elif key == "matched":
         opts = value or {}
+        if not isinstance(opts, dict):
+            raise ConfigError("weights.matched must be a JSON object")
         sig = _signal_from_config(cfg, bandwidth)
+        degree_K = _integer(opts, "weights.matched.degree_k", 3)
+        half_count_M = _integer(opts, "weights.matched.half_count_m", 11)
         try:
             spec = matched_weights(
                 sig,
-                degree_K=int(opts.get("degree_k", 3)),
-                half_count_M=int(opts.get("half_count_m", 11)),
+                degree_K=degree_K,
+                half_count_M=half_count_M,
                 smoothing_scale=float(opts.get("smoothing_scale", 2.0)),
                 power_p=float(opts.get("power_p", 3.0)),
                 power_eps=float(opts.get("power_eps", 1e-6)))

@@ -15,7 +15,7 @@ size N+1 and an odd block of size N (Cantoni & Butler, Linear Algebra Appl.
 straight from the generator r_k = psi(kT) (`_halves`), and every system is
 solved by folding its right-hand side into these coordinates (`_fold`),
 solving in each half and unfolding: a quarter of the Cholesky work of R and
-half of each solve. The weighted norm c^H R c is the sum of the same
+half of each solve. The weighted norm c^T R c is the sum of the same
 quadratic form over the two halves of the folded c. The kernel values
 psi(t - nT) for the cardinals and the power function, one row per
 evaluation point, are solved from the right in two stages by the Cholesky
@@ -49,7 +49,6 @@ of t mod T, one run of psi per group, and pairs the residues r and T - r
 (psi is even), so a grid symmetric about 0 evaluates about half the runs.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,21 +76,22 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Uniform samples x[n], n = -N..N, at spacing T seconds."""
+    """Uniform real samples x[n], n = -N..N, at spacing T seconds."""
 
     spacing_T: float
     values: np.ndarray
 
     def __post_init__(self):
-        if self.spacing_T <= 0:
-            raise ValueError(f"spacing_T must be positive, got {self.spacing_T}")
+        if not 0 < self.spacing_T < np.inf:
+            raise ValueError(f"spacing_T must be finite and positive, got {self.spacing_T}")
         v = np.atleast_1d(np.asarray(self.values))
         if v.ndim != 1 or v.size % 2 == 0:
             raise ValueError(f"values must be 1-d with odd length 2N+1, got shape {v.shape}")
+        if np.iscomplexobj(v):
+            raise ValueError("sample values must be real")
         if not np.all(np.isfinite(v)):
             raise ValueError("sample values must be finite")
-        if not np.iscomplexobj(v):
-            v = v.astype(float)
+        v = v.astype(float)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -100,45 +100,9 @@ class SampleSet:
         return (self.values.size - 1) // 2
 
     @property
-    def indices(self):
-        n = self.half_count_N
-        return np.arange(-n, n + 1)
-
-    @property
     def times(self):
-        return self.indices * self.spacing_T
-
-    def value(self, n):
-        """Sample at logical index n, -N <= n <= N."""
-        if abs(n) > self.half_count_N:
-            raise IndexError(f"|n| must be <= {self.half_count_N}, got {n}")
-        return self.values[n + self.half_count_N]
-
-    @classmethod
-    def from_csv(cls, path, spacing_T):
-        """Read samples from CSV rows ``(n, value)`` or ``(n, re, im)``."""
-        entries = {}
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader, None)  # header
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < 2:
-                    raise ValueError(f"{path} line {reader.line_num}: expected "
-                                     f"(n, value) or (n, re, im), got {row!r}")
-                n = int(row[0])
-                if len(row) >= 3:
-                    entries[n] = complex(float(row[1]), float(row[2]))
-                else:
-                    entries[n] = float(row[1])
-        if not entries:
-            raise ValueError(f"no samples in {path}")
-        nmax = max(abs(n) for n in entries)
-        if sorted(entries) != list(range(-nmax, nmax + 1)):
-            raise ValueError("sample indices must cover -N..N without gaps")
-        vals = np.array([entries[n] for n in range(-nmax, nmax + 1)])
-        return cls(spacing_T, vals)
+        n = self.half_count_N
+        return np.arange(-n, n + 1) * self.spacing_T
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,7 +175,6 @@ class Interpolant:
 
     gram: GramMatrix
     coeffs_c: np.ndarray
-    ridge_sigma2: float
 
 
 def build_gram(kernel, T, N):
@@ -262,13 +225,14 @@ def solve(gram, samples, ridge_sigma2=0.0):
         halves = gram.factor()
     c = _solve_halves(halves, samples.values)
     c.setflags(write=False)
-    return Interpolant(gram=gram, coeffs_c=c, ridge_sigma2=ridge_sigma2)
+    return Interpolant(gram=gram, coeffs_c=c)
 
 
 def evaluate(interp, t):
-    """Evaluate the kernel expansion sum_n c_n psi(t - n T) at ``t``."""
+    """Evaluate the kernel expansion sum_n c_n psi(t - n T) at ``t``,
+    broadcast over its shape."""
     gram = interp.gram
-    return _expand(gram.kernel, gram.spacing_T, gram.half_count_N, interp.coeffs_c, t)
+    return _kernel_matrix(gram.kernel, t, gram.spacing_T, gram.half_count_N) @ interp.coeffs_c
 
 
 def cardinal_coeffs(gram, n):
@@ -284,8 +248,8 @@ def cardinal_coeffs(gram, n):
 
 def cardinal(gram, n, t):
     """Cardinal interpolation function u_n(t), satisfying u_n(mT) = delta[n-m]."""
-    return _expand(gram.kernel, gram.spacing_T, gram.half_count_N,
-                   cardinal_coeffs(gram, n), t)
+    p = cardinal_coeffs(gram, n)
+    return _kernel_matrix(gram.kernel, t, gram.spacing_T, gram.half_count_N) @ p
 
 
 def _cardinal_values(gram, t):
@@ -313,8 +277,6 @@ def _kernel_halves(gram, t):
     not factor raises before any psi.
     """
     halves = gram.factor()
-    if not np.all(np.isfinite(t)):
-        raise ValueError("evaluation times must be finite")
     # the kernel matrix is dropped before the copies are made
     parts = [part.T for part in
              _fold(_kernel_matrix(gram.kernel, t, gram.spacing_T, gram.half_count_N).T)]
@@ -381,19 +343,12 @@ def _unfold(even, odd):
 
 
 def _solve_halves(halves, x):
-    """R^{-1} x for real or complex 1-d x over n = -N..N, one Cholesky solve
-    per half of `_fold(x)`."""
-    return _unfold(*(_cho_solve_any(chol, part) for chol, part in zip(halves, _fold(x))))
-
-
-def _expand(kernel, T, N, coeffs, t):
-    """sum_n coeffs[n] psi(t - nT) over n = -N..N, broadcast over the shape of t.
-
-    The kernel matrix comes from `_kernel_matrix`: one psi run per residue
-    pair {r, T - r} of t mod T when the points share residues (a grid whose
-    step divides a multiple of T), else the direct entry-by-entry evaluation.
-    """
-    return _kernel_matrix(kernel, t, T, N) @ coeffs
+    """R^{-1} x for 1-d x over n = -N..N, one Cholesky solve per half of
+    `_fold(x)`, in place in the folded parts."""
+    parts = _fold(x)
+    for chol, part in zip(halves, parts):
+        _lapack.potrs(chol, part)
+    return _unfold(*parts)
 
 
 def _kernel_matrix(kernel, t, T, N):
@@ -412,12 +367,15 @@ def _kernel_matrix(kernel, t, T, N):
     and unflipped points have m-ranges more than 2N + 1 apart keeps two
     runs, as one run spanning both would be longer. When the runs would hold
     as many values as the matrix itself (no two points share a residue, as
-    for random points), the matrix is evaluated entry by entry.
+    for random points), the matrix is evaluated entry by entry. A NaN or
+    infinite time raises `ValueError` before any psi is evaluated.
     """
     t = np.asarray(t, dtype=float)
     width = 2 * N + 1
     flat = t.ravel()
-    if flat.size > 1 and np.all(np.isfinite(flat)):
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("evaluation times must be finite")
+    if flat.size > 1:
         tol = 4.0 * np.spacing(np.max(np.abs(flat)) + T)
         m = np.floor(flat / T)
         r = flat - m * T
@@ -487,18 +445,8 @@ def truncated_shannon(samples, t):
 
 
 def wnorm_sq(interp):
-    """Squared weighted-space norm of the interpolant, Re(c^H R c), summed
-    over the even and odd halves of the folded c."""
-    return float(sum(np.real(np.conj(part) @ (block @ part))
+    """Squared weighted-space norm of the interpolant, c^T R c, summed over
+    the even and odd halves of the folded c."""
+    return float(sum(part @ (block @ part)
                      for block, part in zip(interp.gram.blocks, _fold(interp.coeffs_c))))
 
-
-def _cho_solve_any(chol, rhs):
-    """block^{-1} rhs for the lower Cholesky factor ``chol`` of block, in
-    place for a real 1-d ``rhs``, as two real solves for a complex one."""
-    if np.iscomplexobj(rhs):
-        # complex64 samples give complex64 parts; each solve is in float64
-        return (_cho_solve_any(chol, np.array(rhs.real, dtype=float)).astype(complex)
-                + 1j * _cho_solve_any(chol, np.array(rhs.imag, dtype=float)))
-    _lapack.potrs(chol, rhs)
-    return rhs

@@ -211,8 +211,8 @@ def psi_quadrature(kernel, t, tolerance=DEFAULT_TOLERANCE):
 
 def shannon_kernel(T, t):
     """Classical interpolation kernel sinc(t/T) with sinc(0) = 1."""
-    if T <= 0:
-        raise ValueError(f"spacing T must be positive, got {T}")
+    if not 0 < T < np.inf:
+        raise ValueError(f"spacing T must be finite and positive, got {T}")
     return np.sinc(np.asarray(t, dtype=float) / T)
 
 

@@ -82,8 +82,8 @@ def eval_signal(sig, t):
 
 def sample_signal(sig, T, N):
     """Uniform samples x[n] = x(nT) for n = -N..N."""
-    if T <= 0:
-        raise ValueError(f"spacing T must be positive, got {T}")
+    if not 0 < T < np.inf:
+        raise ValueError(f"spacing T must be finite and positive, got {T}")
     n = np.arange(-N, N + 1)
     return SampleSet(spacing_T=T, values=eval_signal(sig, n * T))
 

@@ -69,25 +69,6 @@ def lmmse_interpolate(samples, psd, t, ridge_sigma2=0.0):
     return evaluate(solve(gram, samples, ridge_sigma2), t)
 
 
-def synthesize_process(psd, seed, t_grid, nfreq=SYNTHESIS_GRID_SIZE):
-    """Draw one process realization on ``t_grid`` by spectral synthesis.
-
-    Sums ``sqrt(S(omega_k) d_omega / pi) [a_k cos(omega_k t) + b_k sin(omega_k t)]``
-    over a midpoint grid of ``nfreq`` in-band frequencies with independent
-    standard-normal a_k, b_k from ``default_rng(seed)``. The discretization
-    approximates the continuous process for |t| well inside 1/d_omega. The
-    result has the shape of ``t_grid``.
-    """
-    nfreq = _count("nfreq", nfreq)
-    t = np.asarray(t_grid, dtype=float)
-    cos_t, sin_t = _synthesis_basis(psd, t.ravel(), nfreq)
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(nfreq)
-    b = rng.standard_normal(nfreq)
-    # [()] turns a 0-d result into a scalar
-    return (a @ cos_t + b @ sin_t).reshape(t.shape)[()]
-
-
 def empirical_mse(psd, interpolator_kind, T, N, t_eval, realizations, seed,
                   nfreq=SYNTHESIS_GRID_SIZE):
     """Monte-Carlo mean squared error of one interpolator kind at ``t_eval``."""
@@ -97,7 +78,7 @@ def empirical_mse(psd, interpolator_kind, T, N, t_eval, realizations, seed,
 
 def squared_errors(psd, interpolator_kind, T, N, t_eval, realizations, seed,
                    nfreq=SYNTHESIS_GRID_SIZE):
-    """Per-realization squared errors |xhat(t_eval) - x(t_eval)|^2.
+    """Per-realization squared errors (xhat(t_eval) - x(t_eval))^2.
 
     ``interpolator_kind`` is one of ``shannon`` (truncated sinc),
     ``uniform_weight`` (flat weights over the density's band), or
@@ -163,7 +144,8 @@ def _predictor_row(psd, kind, T, N, t_eval):
 
 def _synthesis_basis(psd, t, nfreq):
     """sqrt(S(omega_k) d_omega / pi) times cos and sin(omega_k t) on the midpoint
-    grid of ``nfreq`` in-band omega_k, for 1-d t; shape (nfreq, t.size)."""
+    grid of ``nfreq`` in-band omega_k, for 1-d t; shape (nfreq, t.size). The
+    draws over it approximate the process for |t| well inside 1/d_omega."""
     edge = 2.0 * np.pi * psd.bandwidth_B
     d_omega = edge / nfreq
     omegas = (np.arange(nfreq) + 0.5) * d_omega

@@ -98,12 +98,6 @@ class WeightSpec:
         """Band edge in angular frequency, 2 pi B."""
         return 2.0 * np.pi * self.bandwidth_B
 
-    def coeff(self, m):
-        """Coefficient d_m for a logical index -M <= m <= M."""
-        if abs(m) > self.half_count_M:
-            raise IndexError(f"|m| must be <= {self.half_count_M}, got {m}")
-        return float(self.coeffs_d[m + self.half_count_M])
-
     def validation_grid(self):
         """Uniform interior grid on the open band used for positivity checks.
 
@@ -190,13 +184,6 @@ class DensityGrid:
                 omegas.append(float(row[0]))
                 values.append(float(row[1]))
         return cls(np.asarray(omegas), np.asarray(values))
-
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["omega", "value"])
-            for om, va in zip(self.omegas, self.values):
-                writer.writerow([f"{om:.17g}", f"{va:.17g}"])
 
 
 def _check_bandwidth(bandwidth_B):

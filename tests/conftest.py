@@ -83,6 +83,17 @@ def lattice_tolerance(kernel, t, T, N):
         1.0 + 2.0 * np.pi * kernel.bandwidth_B * (np.max(np.abs(t)) + N * T))
 
 
+def classical_bound(samples, E, t):
+    """The classical pointwise bound of truncated sinc interpolation for
+    truths of energy at most E^2, C sqrt((1 - sum_n sinc^2(t/T - n)) / T)
+    over n = -N..N with C = sqrt(E^2 - T sum_n x[n]^2): the bound that the
+    weighted one reduces to at W = 1 and critical spacing."""
+    T, N = samples.spacing_T, samples.half_count_N
+    constant = np.sqrt(E * E - T * np.sum(samples.values ** 2))
+    s = np.sinc(np.asarray(t, dtype=float)[:, None] / T - np.arange(-N, N + 1))
+    return constant * np.sqrt(np.maximum(1.0 - np.sum(s * s, axis=1), 0.0) / T)
+
+
 def dense_gram(gram):
     """The full Gram matrix R = psi((m - n) T) of a `GramMatrix`, as a test
     reference: the symmetric Toeplitz matrix of its first row."""

@@ -8,11 +8,12 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from bandlim import (AnalyticSignal, InfeasibleBallError, Kernel, SampleSet,
                      build_gram, evaluate, eval_signal, minimax_worstcase,
                      power_function, psi_closed_form, sample_signal,
-                     shannon_pointwise_bound, sinc_partition_check, solve,
-                     weighted_pointwise_bound, wnorm_sq)
+                     sinc_partition_check, solve, weighted_pointwise_bound,
+                     wnorm_sq)
 from bandlim import _lapack
 from bandlim.interpolate import _cardinal_values, _kernel_matrix
-from conftest import flat_gram_reference, lattice_tolerance, random_weight_spec
+from conftest import (classical_bound, flat_gram_reference, lattice_tolerance,
+                      random_weight_spec)
 
 B = 1.0
 EPS = np.finfo(float).eps
@@ -301,47 +302,55 @@ class TestWeightedBound:
         E = 1.2 * np.sqrt(T * np.sum(samples.values ** 2))
         t = np.linspace(-6, 6, 201)
         weighted = weighted_pointwise_bound(interp, E, t)
-        classical = shannon_pointwise_bound(samples, E, t)
         np.testing.assert_allclose(weighted.bound_values,
-                                   classical.bound_values, atol=1e-8)
+                                   classical_bound(samples, E, t), atol=1e-8)
         np.testing.assert_allclose(weighted.constant * weighted.power_values,
                                    weighted.bound_values, rtol=1e-14)
 
 
 class TestShannonBound:
+    # The classical bound of truncated sinc interpolation, through the tail
+    # adversary that attains it
+
     def test_zero_at_nodes(self):
+        # every tail sinc vanishes at a node, so no tail can move xhat there
         samples = SampleSet(0.7, np.array([1.0, 2.0, 3.0, 2.0, 1.0]))
-        report = shannon_pointwise_bound(samples, E=10.0, t_grid=samples.times)
-        np.testing.assert_allclose(report.bound_values, 0.0, atol=1e-7)
+        for t in samples.times:
+            adv = minimax_worstcase(samples, 10.0, t, tail_range=200)
+            assert adv.analytic_error == pytest.approx(0.0, abs=1e-7)
+            assert adv.attained_error == pytest.approx(0.0, abs=1e-7)
 
     def test_exhausted_energy_budget_zeroes_constant(self):
         samples = SampleSet(0.5, np.array([1.0, -2.0, 0.5]))
         E = np.sqrt(0.5 * np.sum(samples.values ** 2))
-        report = shannon_pointwise_bound(samples, E, np.array([0.3]))
-        assert report.constant == 0.0
+        adv = minimax_worstcase(samples, E, 0.3, tail_range=50)
+        assert adv.constant == 0.0
+        assert adv.attained_error == 0.0
 
     def test_zero_signal_direct_formula(self):
-        # x = 0, E = 1, N = 10, t = T/2
+        # x = 0, E = 1, N = 10, t = T/2: the adversary's tail stops at
+        # tail_range, and its truncation deficit is the rest of the bound
         T, N = 1.0, 10
         samples = SampleSet(T, np.zeros(2 * N + 1))
-        report = shannon_pointwise_bound(samples, 1.0, np.array([T / 2]))
+        adv = minimax_worstcase(samples, 1.0, T / 2)
         ssum = sum(np.sinc(0.5 - n) ** 2 for n in range(-N, N + 1))
         expected = np.sqrt((1 - ssum) / T)
-        assert report.bound_values[0] == pytest.approx(expected, rel=1e-12)
+        assert np.hypot(adv.analytic_error, np.sqrt(adv.truncation_deficit / T)) \
+            == pytest.approx(expected, rel=1e-12)
+        np.testing.assert_allclose(classical_bound(samples, 1.0, [T / 2]), expected,
+                                   rtol=1e-12)
 
     def test_infeasible_energy_rejected(self):
         samples = SampleSet(0.5, np.array([1.0, -2.0, 0.5]))
         with pytest.raises(InfeasibleBallError):
-            shannon_pointwise_bound(samples, 0.1, np.zeros(1))
+            minimax_worstcase(samples, 0.1, 0.0, tail_range=50)
 
     def test_nonfinite_or_negative_energy_rejected(self):
         samples = SampleSet(0.5, np.array([1.0, -2.0, 0.5]))
         for bad in (np.nan, np.inf, -10.0):
             with pytest.raises(ValueError, match="energy budget E") as info:
-                shannon_pointwise_bound(samples, bad, np.zeros(1))
-            assert not isinstance(info.value, InfeasibleBallError)
-            with pytest.raises(ValueError, match="energy budget E"):
                 minimax_worstcase(samples, bad, t=0.3, tail_range=50)
+            assert not isinstance(info.value, InfeasibleBallError)
 
 
 class TestSincPartition:

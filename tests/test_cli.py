@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from bandlim import WeightSpec, inverse_weight_eval
 from bandlim.cli import _write_csv, main
+from conftest import classical_bound
 
 
 def run_cli(args):
@@ -177,7 +178,7 @@ class TestCardinalsCommand:
 
 class TestBoundsCommand:
     def test_uniform_critical_matches_classical_formula(self, tmp_path):
-        from bandlim import sample_signal, shannon_pointwise_bound, AnalyticSignal
+        from bandlim import sample_signal, AnalyticSignal
         cfg = write_config(tmp_path, nyquist_fraction=1.0,
                            weights={"uniform": True}, ball_radius=4.0,
                            grid={"min_s": -3.0, "max_s": 3.0, "count": 101})
@@ -186,10 +187,9 @@ class TestBoundsCommand:
                         str(out), "--quiet"]) == 0
         _, cols = read_csv(out / "bounds.csv")
         samples = sample_signal(AnalyticSignal.lowfreq(1.0), 0.5, 10)
-        report = shannon_pointwise_bound(samples, 4.0,
-                                         np.linspace(-3, 3, 101))
         np.testing.assert_allclose(numeric(cols, "bound"),
-                                   report.bound_values, atol=1e-8)
+                                   classical_bound(samples, 4.0, np.linspace(-3, 3, 101)),
+                                   atol=1e-8)
 
     def test_missing_radius_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -217,6 +217,7 @@ class TestBoundsCommand:
     ("bounds", {"ball_radius": float("inf")}),
     ("bounds", {"ball_radius": -6.0}),
     ("compare", {"ridge_sigma2": float("nan")}),
+    ("kernel", {"weights": {"matched": True}}),
 ])
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, overrides):
     om = np.linspace(-2 * np.pi, 2 * np.pi, 201)
@@ -257,6 +258,85 @@ def test_negative_matched_half_count_names_the_key(tmp_path, capsys):
     assert err.startswith("config error: matched weights invalid:")
     assert "half_count_M must be >= 0, got -1" in err
     assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["kernel", "compare", "cardinals", "bounds"])
+@pytest.mark.parametrize("min_s, max_s", [(-5.0, float("inf")), (float("-inf"), 5.0),
+                                          (float("nan"), 5.0), (-1e308, 1e308)])
+def test_non_finite_grid_is_config_error(tmp_path, capsys, command, min_s, max_s):
+    # an infinite max_s once wrote rows of nan and inf and exited 0; so does a
+    # span that overflows
+    cfg = write_config(tmp_path, ball_radius=10.0,
+                       grid={"min_s": min_s, "max_s": max_s, "count": 51})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli([command, "--config", str(cfg), "--output-dir", str(out),
+                        "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: grid.min_s, grid.max_s and their span must be finite, "
+        f"got {min_s} and {max_s}\n")
+    assert not out.exists() or not list(out.iterdir())
+
+
+INTEGER_KEYS = [
+    ("compare", "half_count_n", {"half_count_n": 10.7}, "10.7"),
+    ("cardinals", "half_count_n", {"half_count_n": True}, "True"),
+    ("bounds", "half_count_n", {"half_count_n": float("nan")}, "nan"),
+    ("kernel", "grid.count", {"grid": {"min_s": -5.0, "max_s": 5.0, "count": 50.9}},
+     "50.9"),
+    ("kernel", "grid.count", {"grid": {"min_s": -5.0, "max_s": 5.0, "count": True}},
+     "True"),
+    ("mc", "mc.realizations", {"mc": {"realizations": True}}, "True"),
+    ("mc", "seed", {"seed": 1.5}, "1.5"),
+    ("kernel", "weights.matched.degree_k", {"weights": {"matched": {"degree_k": 3.5}}},
+     "3.5"),
+    ("kernel", "weights.matched.half_count_m",
+     {"weights": {"matched": {"half_count_m": False}}}, "False"),
+    ("fit", "fit.degree_k", {"fit": {"density_csv": "density.csv", "degree_k": 2.5}},
+     "2.5"),
+    ("fit", "fit.half_count_m",
+     {"fit": {"density_csv": "density.csv", "half_count_m": True}}, "True"),
+]
+
+
+@pytest.mark.parametrize("command, key, overrides, shown", INTEGER_KEYS)
+def test_non_integral_integer_keys_name_the_key(tmp_path, capsys, command, key,
+                                                overrides, shown):
+    # half_count_n 10.7 once ran as N = 10, true as N = 1, and a grid count
+    # of 50.9 as 50 points
+    om = np.linspace(-2 * np.pi, 2 * np.pi, 201)
+    (tmp_path / "density.csv").write_text(
+        "omega,value\n" + "".join(f"{o!r},1.0\n" for o in om.tolist()))
+    cfg = write_config(tmp_path, **{"ball_radius": 10.0, "mc": {"realizations": 4},
+                                    **overrides})
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(cfg), "--output-dir", str(out),
+                    "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {key} must be an integer, got {shown}\n")
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("value", ["10", None, [10]])
+def test_non_numeric_half_count_is_invalid(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, half_count_n=value)
+    assert run_cli(["compare", "--config", str(cfg), "--output-dir",
+                    str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: half_count_n is invalid: expected an integer, got {value!r}\n")
+
+
+def test_integral_float_integer_keys_run_as_integers(tmp_path):
+    # JSON may write 10 as 10.0
+    outs = []
+    for name, n, count in (("int", 10, 201), ("float", 10.0, 201.0)):
+        cfg = write_config(tmp_path, name=f"{name}.json", half_count_n=n,
+                           grid={"min_s": -5.0, "max_s": 5.0, "count": count})
+        assert run_cli(["compare", "--config", str(cfg), "--output-dir",
+                        str(tmp_path / name), "--quiet"]) == 0
+        outs.append((tmp_path / name / "compare.csv").read_bytes())
+    assert outs[0] == outs[1]
 
 
 class TestMCCommand:

@@ -11,8 +11,8 @@ import bandlim.interpolate as interpolate_module
 from bandlim import (DensityGrid, Kernel, NotPositiveDefiniteError, PSDModel, SampleSet,
                      adaptive_simpson, build_gram, cardinal, cardinal_coeffs,
                      evaluate, inverse_weight_eval, power_function,
-                     psi_closed_form, sample_signal, solve, squared_errors,
-                     truncated_shannon, wnorm_sq)
+                     psi_closed_form, sample_signal, shannon_kernel, solve,
+                     squared_errors, truncated_shannon, wnorm_sq)
 from bandlim.interpolate import _cardinal_values, _fold, _halves, _kernel_matrix, _unfold
 from conftest import (TOL_ULPS, dense_gram, grid_kernel_reference, lattice_tolerance,
                       random_weight_spec)
@@ -36,34 +36,31 @@ class TestSampleSet:
             SampleSet(1.0, np.array([1.0, np.inf, 2.0]))
 
     def test_logical_indexing(self):
-        s = SampleSet(0.5, np.array([10.0, 20.0, 30.0]))
+        # x[n] sits at offset n + N of the values, at time nT
+        s = SampleSet(0.5, np.array([10, 20, 30]))
         assert s.half_count_N == 1
-        assert s.value(-1) == 10.0
-        assert s.value(1) == 30.0
+        assert s.values.dtype == float
+        np.testing.assert_array_equal(s.values, [10.0, 20.0, 30.0])
         np.testing.assert_array_equal(s.times, [-0.5, 0.0, 0.5])
 
-    def test_csv_real_and_complex(self, tmp_path):
-        real = tmp_path / "real.csv"
-        real.write_text("n,value\n-1,1.5\n0,2.5\n1,3.5\n")
-        s = SampleSet.from_csv(real, spacing_T=0.25)
-        np.testing.assert_array_equal(s.values, [1.5, 2.5, 3.5])
+    def test_complex_values_rejected(self):
+        # the samples are real: a complex dtype is rejected even when every
+        # imaginary part is 0
+        for values in (np.array([1.0, 2.0 + 1.0j, 3.0]),
+                       np.array([1.0, 2.0, 3.0], dtype=complex),
+                       np.array([1.0, 2.0, 3.0], dtype=np.complex64)):
+            with pytest.raises(ValueError, match="sample values must be real"):
+                SampleSet(0.5, values)
 
-        cplx = tmp_path / "cplx.csv"
-        cplx.write_text("n,re,im\n-1,1,2\n0,0,0\n1,1,-2\n")
-        s = SampleSet.from_csv(cplx, spacing_T=0.25)
-        assert s.value(-1) == 1 + 2j
-
-    def test_csv_short_row_rejected(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("n,value\n-1,1.0\n0\n1,2.0\n")
-        with pytest.raises(ValueError, match="line 3"):
-            SampleSet.from_csv(bad, spacing_T=0.25)
-
-    def test_csv_gap_rejected(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("n,value\n-1,1.0\n1,2.0\n")
-        with pytest.raises(ValueError, match="gaps"):
-            SampleSet.from_csv(bad, spacing_T=0.25)
+    @pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spacing_rejected(self, lowfreq_signal, T):
+        # the same check as build_gram's; a NaN spacing once gave NaN values
+        with pytest.raises(ValueError, match="spacing_T must be finite and positive"):
+            SampleSet(T, np.ones(3))
+        with pytest.raises(ValueError, match="spacing T must be finite and positive"):
+            sample_signal(lowfreq_signal, T, 2)
+        with pytest.raises(ValueError, match="spacing T must be finite and positive"):
+            shannon_kernel(T, [0.1])
 
 
 class TestBuildGram:
@@ -247,16 +244,6 @@ class TestEvaluate:
             + b * evaluate(solve(gram, SampleSet(T, y)), t)
         np.testing.assert_allclose(combo, parts, atol=1e-12)
 
-    def test_complex_samples(self, lowpass_kernel):
-        T, N = 1.0 / B, 6
-        rng = np.random.default_rng(9)
-        vals = rng.standard_normal(2 * N + 1) + 1j * rng.standard_normal(2 * N + 1)
-        samples = SampleSet(T, vals)
-        interp = solve(build_gram(lowpass_kernel, T, N), samples)
-        out = evaluate(interp, samples.times)
-        assert np.iscomplexobj(out)
-        np.testing.assert_allclose(out, vals, atol=1e-10)
-
 
 class TestCardinal:
     def test_kronecker_property(self, lowpass_kernel, highpass_kernel):
@@ -283,7 +270,7 @@ class TestCardinal:
         gram = build_gram(lowpass_kernel, T, N)
         interp = solve(gram, samples)
         t = np.linspace(-7, 7, 31)
-        total = sum(samples.value(n) * cardinal(gram, n, t)
+        total = sum(samples.values[n + N] * cardinal(gram, n, t)
                     for n in range(-N, N + 1))
         np.testing.assert_allclose(total, evaluate(interp, t), atol=1e-10)
 
@@ -492,6 +479,29 @@ def test_kernel_matrix_off_lattice_is_direct(kernel, T, N, t):
     np.testing.assert_array_equal(value, dense_kernel_matrix(kernel, t, T, N))
 
 
+TIME_USES = {
+    "evaluate": lambda interp, t: evaluate(interp, t),
+    "cardinal": lambda interp, t: cardinal(interp.gram, 0, t),
+    "power_function": lambda interp, t: power_function(interp.gram, t),
+    "cardinal_values": lambda interp, t: _cardinal_values(interp.gram, t),
+}
+
+
+@pytest.mark.parametrize("use", sorted(TIME_USES))
+@pytest.mark.parametrize("t", [np.nan, [0.25, np.inf], [[0.0, 0.5], [-np.inf, 1.0]],
+                               np.append(np.arange(-20, 21) * 0.25, np.nan)])
+def test_non_finite_times_rejected_before_psi(lowpass_kernel, use, t):
+    # one check in `_kernel_matrix`, ahead of the lattice test; evaluate and
+    # cardinal once returned NaN here
+    _, samples = nyquist_setup()
+    interp = solve(build_gram(lowpass_kernel, samples.spacing_T, samples.half_count_N),
+                   samples)
+    with counted_psi() as counts, \
+            pytest.raises(ValueError, match="evaluation times must be finite"):
+        TIME_USES[use](interp, t)
+    assert counts == []
+
+
 def unpaired_runs(k, periods, classes, N):
     """Run lengths that one run per residue class of t mod T needs, with no
     pairing of r and T - r, for the points t = k h with h = T periods / classes
@@ -603,13 +613,13 @@ def test_expansions_match_dense_reference(case, seed):
     # the Cholesky-based estimate can read far below the true condition number
     assume(np.linalg.cond(R) < 1e8)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(gram.size) + 1j * rng.standard_normal(gram.size)
+    x = rng.standard_normal(gram.size)
     interp = solve(gram, SampleSet(T, x))
     dense = dense_kernel_matrix(kernel, t, T, N)
     tol = lattice_tolerance(kernel, t, T, N)
 
     values = evaluate(interp, t)
-    assert np.iscomplexobj(values) and values.shape == t.shape
+    assert values.dtype == float and values.shape == t.shape
     np.testing.assert_allclose(values, dense @ interp.coeffs_c, rtol=0,
                                atol=tol * np.sum(np.abs(interp.coeffs_c)))
 
@@ -698,10 +708,10 @@ HALVES_TOL_UNITS = 16.0
 
 @settings(max_examples=60, deadline=None)
 @given(matrix_kernels(), st.sampled_from([0.5, 0.75, 1.0, 1.3]), st.integers(0, 12),
-       st.sampled_from([0.0, 1e-6, 1e-2]), st.booleans(), st.integers(0, 2**32 - 1))
-@example(Kernel.uniform(1.0), 0.75, 0, 0.0, True, 0)
-@example(Kernel.uniform(1.0), 0.75, 0, 1e-2, False, 1)
-def test_halves_match_dense_solve(kernel, ratio, N, sigma2, complex_samples, seed):
+       st.sampled_from([0.0, 1e-6, 1e-2]), st.integers(0, 2**32 - 1))
+@example(Kernel.uniform(1.0), 0.75, 0, 0.0, 0)
+@example(Kernel.uniform(1.0), 0.75, 0, 1e-2, 1)
+def test_halves_match_dense_solve(kernel, ratio, N, sigma2, seed):
     # N = 0 leaves the odd half empty
     T = ratio / (2.0 * kernel.bandwidth_B)
     gram = build_gram(kernel, T, N)
@@ -710,26 +720,16 @@ def test_halves_match_dense_solve(kernel, ratio, N, sigma2, complex_samples, see
     assume(cond < 1e8)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(gram.size)
-    if complex_samples:
-        x = x + 1j * rng.standard_normal(gram.size)
     t = rng.uniform(-(N + 2) * T, (N + 2) * T, (2, 3))
 
-    def check(value, reference, matrix_cond, eps=np.finfo(float).eps):
-        units = eps * matrix_cond * np.max(np.abs(reference))
+    def check(value, reference, matrix_cond):
+        units = np.finfo(float).eps * matrix_cond * np.max(np.abs(reference))
         np.testing.assert_allclose(value, reference, rtol=0,
                                    atol=HALVES_TOL_UNITS * units)
 
     ridged = R + sigma2 * np.eye(gram.size)
     check(solve(gram, SampleSet(T, x), sigma2).coeffs_c,
           dense_solve(ridged, x, assume_a="pos"), np.linalg.cond(ridged))
-    if complex_samples:
-        # complex64 samples keep their dtype in SampleSet, and so are folded
-        # in single precision; the solves are in float64
-        x64 = x.astype(np.complex64)
-        coeffs = solve(gram, SampleSet(T, x64), sigma2).coeffs_c
-        assert coeffs.dtype == np.complex128
-        check(coeffs, dense_solve(ridged, x64.astype(complex), assume_a="pos"),
-              np.linalg.cond(ridged), np.finfo(np.float32).eps)
     check(np.array([cardinal_coeffs(gram, n) for n in range(-N, N + 1)]),
           dense_solve(R, np.eye(gram.size), assume_a="pos"), cond)
     v = np.moveaxis(_kernel_matrix(kernel, t, T, N), -1, 0)

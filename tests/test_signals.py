@@ -50,7 +50,7 @@ class TestSampling:
     def test_single_sample(self, lowfreq_signal):
         samples = sample_signal(lowfreq_signal, 0.3, 0)
         assert samples.values.shape == (1,)
-        assert samples.value(0) == float(eval_signal(lowfreq_signal, 0.0))
+        assert samples.values[0] == float(eval_signal(lowfreq_signal, 0.0))
 
     def test_three_quarter_nyquist_configuration(self, lowfreq_signal):
         # T = 2/(3B) is sampling at 75% of the critical rate

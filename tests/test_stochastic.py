@@ -11,8 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from bandlim import (DensityGrid, Kernel, NotPositiveDefiniteError, PSDModel, SampleSet,
                      autocorrelation, build_gram, cardinal, empirical_mse, evaluate,
                      gaussian_smooth, inverse_weight_eval, lmmse_interpolate,
-                     sample_signal, solve, squared_errors, synthesize_process,
-                     truncated_shannon)
+                     sample_signal, solve, squared_errors, truncated_shannon)
 from bandlim.signals import spectral_density_grid
 from bandlim.stochastic import (_MIN_CHUNK, MSE_KINDS, SYNTHESIS_GRID_SIZE,
                                  _predictor_row, _synthesis_basis)
@@ -24,6 +23,17 @@ B = 1.0
 @pytest.fixture(scope="module")
 def lowpass_psd(lowpass_spec):
     return PSDModel.from_weight_spec(lowpass_spec)
+
+
+def draw_process(psd, seed, t):
+    """The process at 1-d ``t`` as realization ``seed`` of `squared_errors`
+    draws it: a, b standard normal from ``default_rng(seed)``, in that order,
+    over the spectral synthesis basis C, S, giving a.C + b.S."""
+    cos_t, sin_t = _synthesis_basis(psd, np.asarray(t, dtype=float), SYNTHESIS_GRID_SIZE)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(SYNTHESIS_GRID_SIZE)
+    b = rng.standard_normal(SYNTHESIS_GRID_SIZE)
+    return a @ cos_t + b @ sin_t
 
 
 class TestPSDModel:
@@ -209,7 +219,7 @@ class TestTabulatedPSD:
         errors = squared_errors(psd, kind, T, N, t_eval, 6, seed)
         pts = np.concatenate([nodes, [t_eval]])
         for k, err in enumerate(errors):
-            x = synthesize_process(psd, [seed, k], pts)
+            x = draw_process(psd, [seed, k], pts)
             assert err == pytest.approx((row @ x[:-1] - x[-1]) ** 2, rel=1e-10, abs=1e-14)
 
     @pytest.mark.parametrize("kind", ["uniform_weight", "matched_weight"])
@@ -238,38 +248,25 @@ class TestTabulatedPSD:
 
 class TestSynthesis:
     def test_deterministic_given_seed(self, lowpass_psd):
-        t = np.linspace(-3, 3, 17)
-        a = synthesize_process(lowpass_psd, 123, t)
-        b = synthesize_process(lowpass_psd, 123, t)
-        np.testing.assert_array_equal(a, b)
-        c = synthesize_process(lowpass_psd, 124, t)
-        assert np.max(np.abs(a - c)) > 1e-3
+        a = squared_errors(lowpass_psd, "shannon", 1.0, 5, 0.5, 20, 123)
+        np.testing.assert_array_equal(
+            a, squared_errors(lowpass_psd, "shannon", 1.0, 5, 0.5, 20, 123))
+        c = squared_errors(lowpass_psd, "shannon", 1.0, 5, 0.5, 20, 124)
+        assert np.max(np.abs(a - c)) > 1e-3 * np.max(a)
 
     def test_variance_matches_psd_mass(self, lowpass_psd):
-        # sample variance over realizations approaches R(0)
-        t = np.array([0.0, 0.7])
-        trials = 2000
-        vals = np.array([synthesize_process(lowpass_psd, [555, k], t)
-                         for k in range(trials)])
+        # a.C + b.S with standard normal a, b has variance sum_k C_k^2 + S_k^2
+        # = sum_k S(omega_k) d_omega / pi at every t: the midpoint rule for
+        # R(0) = (1/pi) integral_0^{2 pi B} S
+        cos_t, sin_t = _synthesis_basis(lowpass_psd, np.array([0.0, 0.7]),
+                                        SYNTHESIS_GRID_SIZE)
         target = float(autocorrelation(lowpass_psd, 0.0))
-        for j in range(t.size):
-            assert np.var(vals[:, j]) == pytest.approx(target, rel=0.05)
-
-    def test_output_shape_follows_t(self, lowpass_psd):
-        t = np.linspace(-3, 3, 17)
-        assert synthesize_process(lowpass_psd, 5, t).shape == t.shape
-        assert np.shape(synthesize_process(lowpass_psd, 5, 0.4)) == ()
-        assert synthesize_process(lowpass_psd, 5, 0.4) == pytest.approx(
-            synthesize_process(lowpass_psd, 5, [0.4])[0], rel=1e-13)
-        grid = t[:15].reshape(3, 5)
-        np.testing.assert_array_equal(synthesize_process(lowpass_psd, 5, grid),
-                                      synthesize_process(lowpass_psd, 5, t[:15])
-                                      .reshape(3, 5))
+        np.testing.assert_allclose(np.sum(cos_t ** 2 + sin_t ** 2, axis=0), target,
+                                   rtol=1e-10)
 
     def test_zero_mean(self, lowpass_psd):
         trials = 2000
-        vals = np.array([synthesize_process(lowpass_psd, [9, k],
-                                            np.array([0.4]))[0]
+        vals = np.array([draw_process(lowpass_psd, [9, k], [0.4])[0]
                          for k in range(trials)])
         sigma = np.sqrt(float(autocorrelation(lowpass_psd, 0.0)))
         assert abs(np.mean(vals)) < 3 * sigma / np.sqrt(trials)
@@ -472,9 +469,7 @@ class TestCountChecks:
     def test_nfreq_below_one_rejected(self, lowpass_psd, nfreq):
         with pytest.raises(ValueError, match=f"nfreq must be >= 1, got {nfreq}"):
             squared_errors(lowpass_psd, "shannon", 1.0, 5, 0.5, 4, 1, nfreq=nfreq)
-        with pytest.raises(ValueError, match=f"nfreq must be >= 1, got {nfreq}"):
-            synthesize_process(lowpass_psd, 1, [0.0, 0.5], nfreq=nfreq)
 
     def test_non_integral_nfreq_rejected(self, lowpass_psd):
         with pytest.raises(ValueError, match="nfreq must be an integer"):
-            synthesize_process(lowpass_psd, 1, [0.0, 0.5], nfreq=64.5)
+            squared_errors(lowpass_psd, "shannon", 1.0, 5, 0.5, 4, 1, nfreq=64.5)
