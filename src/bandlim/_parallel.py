@@ -2,9 +2,11 @@
 
 `run_split` runs consecutive ranges of one job, the first in the caller and
 each other one in a thread of its own, and re-raises a failure only after
-every thread has been joined. Monte-Carlo realizations
-(`stochastic.squared_errors`) and the even and odd halves of the Gram system
-(`run_halves`) both go through it.
+every thread has been joined. Three jobs go through it: Monte-Carlo
+realizations (`stochastic.squared_errors`), the blocks of a long psi
+evaluation (`kernel.psi_closed_form`), and the even and odd halves of the
+Gram system (`run_halves`): filling and factoring them in `build_gram`, and
+the stages of `bounds.power_function`.
 """
 
 import os
@@ -61,21 +63,27 @@ def run_split(fill, bounds):
             raise exc
 
 
-def run_halves(half, flops):
+def run_halves(half, work, min_work=None):
     """Call ``half(0)`` for the even half and ``half(1)`` for the odd one.
 
     The odd half goes to a worker thread, concurrent with the even one in
-    the caller, only when ``flops`` (its work) reaches ``_MIN_SPLIT_FLOPS``,
+    the caller, only when ``work`` (its flops, unless the caller measures
+    it otherwise and says so in ``min_work``) reaches ``min_work``
+    (``_MIN_SPLIT_FLOPS`` by default),
     the process may use at least 2 CPUs, and the BLAS reports one thread:
     a multi-threaded BLAS already spreads each call over the CPUs, and two
     callers then contend for its pool. Otherwise both run in the caller,
     even first. ``half(1)`` must release the GIL to gain anything (`_lapack`
-    calls, numpy ufuncs), call no public bandlim function (a profiler that
-    wraps those, as ``perfbench/tracing.py`` does, keeps one span stack),
-    and allocate no array of its own, writing into arrays the caller made,
-    so that the process keeps the memory footprint of one thread.
+    calls, numpy ufuncs) and call no public bandlim function (a profiler that
+    wraps those, as ``perfbench/tracing.py`` does, keeps one span stack). It
+    writes its results into arrays the caller made and allocates nothing of
+    their size itself, so that the process keeps about the memory footprint
+    of one thread; the same holds for a worker of `run_split`, whose
+    temporaries, like those of the psi blocks, stay O(block).
     """
-    if flops >= _MIN_SPLIT_FLOPS and cpu_count() >= 2 and _lapack.blas_threads() == 1:
+    if min_work is None:
+        min_work = _MIN_SPLIT_FLOPS
+    if work >= min_work and cpu_count() >= 2 and _lapack.blas_threads() == 1:
         run_split(lambda h, _: half(h), [0, 1, 2])
     else:
         half(0)

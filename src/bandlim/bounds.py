@@ -172,8 +172,11 @@ def minimax_worstcase(samples, E, t, tail_range=10_000, phase=0.0):
     The adversary spends the leftover energy budget C on tail samples
     (|n| > N, truncated at ``tail_range``) shaped by matched filtering
     against the sinc values at ``t``. Its attained error equals the
-    truncated analytic bound and is invariant to the free phase.
+    truncated analytic bound and is invariant to the free phase. A NaN or
+    infinite ``t`` raises `ValueError`.
     """
+    if not np.isfinite(t):
+        raise ValueError("evaluation times must be finite")
     N = samples.half_count_N
     if tail_range <= N:
         raise ValueError(f"tail_range must exceed N = {N}, got {tail_range}")

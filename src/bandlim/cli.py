@@ -102,7 +102,7 @@ def compare(config_path, output_dir, seed, quiet):
     kinds = cfg.get("kinds", list(COMPARE_KINDS))
     if not kinds or any(k not in COMPARE_KINDS for k in kinds):
         raise ConfigError(f"kinds must be a nonempty subset of {COMPARE_KINDS}")
-    ridge = float(cfg.get("ridge_sigma2", 0.0))
+    ridge = _number(cfg, "ridge_sigma2", 0.0)
 
     sig = _signal_from_config(cfg, B)
     samples = sample_signal(sig, T, N)
@@ -161,7 +161,7 @@ def bounds(config_path, output_dir, seed, quiet):
     N = _integer(cfg, "half_count_n")
     T = _spacing(cfg, B)
     grid = _time_grid(cfg)
-    radius = _require(cfg, "ball_radius", float)
+    radius = _number(cfg, "ball_radius")
     sig = _signal_from_config(cfg, B)
     samples = sample_signal(sig, T, N)
     kern = _kernel_from_config(cfg, B)
@@ -188,7 +188,7 @@ def mc(config_path, output_dir, seed, quiet):
     if realizations < 2:
         # the standard error needs two draws or more
         raise ConfigError(f"mc.realizations must be >= 2, got {realizations}")
-    t_eval = float(mc_cfg.get("eval_time_s", 0.5 * T))
+    t_eval = _number(mc_cfg, "mc.eval_time_s", 0.5 * T)
     kinds = mc_cfg.get("kinds", list(MSE_KINDS))
     if not kinds or any(k not in MSE_KINDS for k in kinds):
         raise ConfigError(f"mc kinds must be a nonempty subset of {MSE_KINDS}")
@@ -260,25 +260,33 @@ def _load_config(path, seed_override):
     return cfg
 
 
-def _require(cfg, key, cast):
-    if key not in cfg:
-        raise ConfigError(f"missing config key {key!r}")
-    try:
-        return cast(cfg[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {key!r} is invalid: {exc}") from exc
-
-
-def _integer(section, name, default=None):
-    """The integer config key ``name`` (dotted; its last part is the key in
-    ``section``), or ``default`` when it is absent (required if None). JSON
-    may write 10 as 10.0, so an integral float passes; a bool does not."""
+def _lookup(section, name, default):
+    """The config key ``name`` (dotted; its last part is the key in
+    ``section``), or ``default`` when it is absent (required if None)."""
     key = name.rpartition(".")[2]
     if key not in section:
         if default is None:
             raise ConfigError(f"missing config key {name!r}")
         return default
-    value = section[key]
+    return section[key]
+
+
+def _number(section, name, default=None):
+    """The real config key ``name``, as `_lookup` finds it, as a float. An
+    int or a float passes; a bool or a string does not."""
+    value = _lookup(section, name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{name} is out of range: {exc}") from exc
+
+
+def _integer(section, name, default=None):
+    """The integer config key ``name``, as `_lookup` finds it. JSON may write
+    10 as 10.0, so an integral float passes; a bool does not."""
+    value = _lookup(section, name, default)
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name} must be an integer, got {value}")
     if not isinstance(value, (int, float)):
@@ -288,14 +296,14 @@ def _integer(section, name, default=None):
 
 def _bandwidth(cfg):
     """``bandwidth_hz``, checked before any subcommand computes with it."""
-    bandwidth = _require(cfg, "bandwidth_hz", float)
+    bandwidth = _number(cfg, "bandwidth_hz")
     if not 0.0 < bandwidth < np.inf:
         raise ConfigError(f"bandwidth_hz must be positive and finite, got {bandwidth}")
     return bandwidth
 
 
 def _spacing(cfg, bandwidth):
-    fraction = _require(cfg, "nyquist_fraction", float)
+    fraction = _number(cfg, "nyquist_fraction")
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"nyquist_fraction must be in (0, 1], got {fraction}")
     return 1.0 / (2.0 * bandwidth * fraction)
@@ -305,10 +313,7 @@ def _time_grid(cfg):
     grid = cfg.get("grid")
     if not isinstance(grid, dict):
         raise ConfigError("config needs a 'grid' section {min_s, max_s, count}")
-    try:
-        lo, hi = float(grid["min_s"]), float(grid["max_s"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"grid section is invalid: {exc}") from exc
+    lo, hi = _number(grid, "grid.min_s"), _number(grid, "grid.max_s")
     count = _integer(grid, "grid.count")
     # a NaN or infinite end makes the span NaN or infinite too
     if not np.isfinite(hi - lo):
@@ -320,7 +325,7 @@ def _time_grid(cfg):
 
 
 def _signal_from_config(cfg, bandwidth):
-    name = _require(cfg, "signal", str)
+    name = _lookup(cfg, "signal", None)
     if name == "lowfreq":
         return AnalyticSignal.lowfreq(bandwidth)
     if name == "highfreq":
@@ -357,14 +362,13 @@ def _kernel_from_config(cfg, bandwidth):
         sig = _signal_from_config(cfg, bandwidth)
         degree_K = _integer(opts, "weights.matched.degree_k", 3)
         half_count_M = _integer(opts, "weights.matched.half_count_m", 11)
+        smoothing_scale = _number(opts, "weights.matched.smoothing_scale", 2.0)
+        power_p = _number(opts, "weights.matched.power_p", 3.0)
+        power_eps = _number(opts, "weights.matched.power_eps", 1e-6)
         try:
-            spec = matched_weights(
-                sig,
-                degree_K=degree_K,
-                half_count_M=half_count_M,
-                smoothing_scale=float(opts.get("smoothing_scale", 2.0)),
-                power_p=float(opts.get("power_p", 3.0)),
-                power_eps=float(opts.get("power_eps", 1e-6)))
+            spec = matched_weights(sig, degree_K=degree_K, half_count_M=half_count_M,
+                                   smoothing_scale=smoothing_scale, power_p=power_p,
+                                   power_eps=power_eps)
         except ValueError as exc:
             raise ConfigError(f"matched weights invalid: {exc}") from exc
     else:

@@ -12,7 +12,7 @@ orthonormal basis of delta_0, (delta_j + delta_-j)/sqrt2 and
 (delta_j - delta_-j)/sqrt2 (j = 1..N) it is block diagonal: an even block of
 size N+1 and an odd block of size N (Cantoni & Butler, Linear Algebra Appl.
 13, 1976). R itself is never formed: `build_gram` assembles the two blocks
-straight from the generator r_k = psi(kT) (`_halves`), and every system is
+straight from the generator r_k = psi(kT) (`_fill_half`), and every system is
 solved by folding its right-hand side into these coordinates (`_fold`),
 solving in each half and unfolding: a quarter of the Cholesky work of R and
 half of each solve. The weighted norm c^T R c is the sum of the same
@@ -25,11 +25,14 @@ v R^{-1} v of the power function, and the second the cardinal values
 u = w L^{-1}. `_cardinal_values` takes both stages on every row;
 `bounds.power_function` takes the second only on the rows near the nodes.
 
-The two halves are independent, so the factorization (`_factor_halves`)
-and the stages of `bounds.power_function` each solve the even half in the
-caller and the odd one in a worker thread at the same time
-(`_parallel.run_halves`), when the work is large enough, the process may
-use two CPUs and the BLAS runs one thread.
+The two halves are independent, so `build_gram` fills and factors each
+half (`_factor_halves`), `solve` and `cardinal_coeffs` solve each half
+(`_solve_halves`), and the stages of `bounds.power_function` solve each
+half, the even one in the caller and the odd one in a worker thread at the
+same time (`_parallel.run_halves`), when the work is large enough, the
+process may use two CPUs and the BLAS runs one thread. The factor of a half
+starts from a Fortran-ordered copy of its block made by one memcpy of the
+transpose, which the exact symmetry of the block makes the block itself.
 Each half's arithmetic, and the order in which the halves are combined, are
 the same either way, so the results are bitwise those of one thread. The
 LAPACK and BLAS calls go through `_lapack`, ctypes bindings that release the
@@ -37,16 +40,28 @@ GIL: scipy's wrappers hold it. On a 2-core host with the BLAS on one thread,
 at N = 1000 (a 1000 x 1000 block, 341 rows), two scipy ``dtrsm`` calls took
 8.3 ms one after the other and 8.4 ms in two threads, and two ``cho_factor``
 calls 10.7 and 8.9 ms; through `_lapack`, ``dtrsm`` went from 8.3 to 4.2 ms
-and ``dpotrf`` from 9.0 to 4.9 ms. The other solves stay in the caller:
-those of `solve` and `cardinal_coeffs` have one right-hand side each, and
-those of `_cardinal_values` (one point per call, from `stochastic`) and the
-quadratic forms of `wnorm_sq` would reach the split's size only from
-N = 1225, past every benchmarked shape.
+and ``dpotrf`` from 9.0 to 4.9 ms. A solve with one right-hand side reads
+its factor for two flops an entry, so `_solve_halves` has a gate of its own
+in factor entries (`_MIN_SPLIT_SOLVE`, N = 400). The other solves stay in
+the caller: those of `_cardinal_values` (one point per call, from
+`stochastic`) and the quadratic forms of `wnorm_sq` would reach the split's
+size only from N = 1225, past every benchmarked shape. The psi runs of the
+kernel values split over two CPUs inside `psi_closed_form` when they are
+long enough.
 
 The interpolant, its cardinals and the power function all read the kernel
-matrix psi(t_j - nT) from `_kernel_matrix`. It groups the points by residue
-of t mod T, one run of psi per group, and pairs the residues r and T - r
-(psi is even), so a grid symmetric about 0 evaluates about half the runs.
+values psi(t_j - nT) through `_lattice_rows`. It groups the points by
+residue of t mod T, one run of psi per group, and pairs the residues r and
+T - r (psi is even), so a grid symmetric about 0 evaluates about half the
+runs; each row of the kernel matrix is then a window of a run. The power
+function and the cardinal values take the whole matrix (`_kernel_matrix`),
+but `evaluate` and `cardinal` need only its product with one vector, which
+`_kernel_product` forms a block of rows at a time, so the matrix (11 MB at
+N = 1000 on 681 points) never exists. Its blocks come in multiples of 128
+rows and the last block of each product takes the remainder, so with the
+BLAS on one thread the product was bitwise that of the whole matrix on
+every shape tried; a multi-threaded BLAS, which spreads a large product
+over its threads but not the smaller blocks, can round a row otherwise.
 """
 
 from dataclasses import dataclass
@@ -60,6 +75,22 @@ from ._parallel import run_halves
 from .kernel import psi_closed_form, shannon_kernel
 
 _SQRT_HALF = np.sqrt(0.5)
+# Entries of the kernel-matrix block of `_kernel_product`, and the multiple
+# of rows it comes in. On a 2-core host with the BLAS on one thread, the
+# product of N = 200 on 4001 lattice points took 0.72 ms in blocks of 2^15
+# to 2^17 entries against 1.04 ms in one piece, and blocks of 2^14 0.80 ms;
+# at N = 1000 on 681 points every size took 1.94 to 2.13 ms. Blocks of 64
+# rows or fewer were not always bitwise the whole product (OpenBLAS dgemv
+# groups its rows), and in 60 random shapes 128 always was.
+_PRODUCT_ENTRIES = 1 << 16
+_PRODUCT_ALIGN = 128
+# Entries of the odd half's factor at least, for `_solve_halves` to solve the
+# halves of one right-hand side on two CPUs. Such a solve reads its factor
+# for two flops an entry, so it gains from a second core at far fewer flops
+# than `_parallel._MIN_SPLIT_FLOPS`. On a 2-core host with the BLAS on one
+# thread, split against inline: N = 300 took 75 against 70 us, N = 400 101
+# against 109 us, N = 500 121 against 149 us and N = 1000 407 against 547 us.
+_MIN_SPLIT_SOLVE = 400 ** 2
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -111,7 +142,7 @@ class GramMatrix:
 
     The symmetric Toeplitz matrix R = psi((m - n) T) is held only as its
     generator ``first_row`` (r_k = psi(kT), k = 0..2N) and its even and odd
-    ``blocks`` (`_halves`), all read-only. ``cholesky`` holds the lower
+    ``blocks`` (`_fill_half`), all read-only. ``cholesky`` holds the lower
     Cholesky factors of the two blocks, or None when either block is not
     numerically positive definite; every use goes through `factor`, which
     then raises. The condition estimate is computed only when read
@@ -191,11 +222,12 @@ def build_gram(kernel, T, N):
         raise ValueError(f"half count N must be >= 0, got {N}")
     first_row = psi_closed_form(kernel, np.arange(2 * N + 1) * T)
     first_row.setflags(write=False)
-    blocks = _halves(first_row)
+    blocks = (np.empty((N + 1, N + 1)), np.empty((N, N)))
+    cholesky = _factor_halves(blocks, lambda h: _fill_half(first_row, h, blocks[h]))
     for block in blocks:
         block.setflags(write=False)
     return GramMatrix(kernel=kernel, spacing_T=T, half_count_N=N, first_row=first_row,
-                      blocks=blocks, cholesky=_factor_halves(blocks))
+                      blocks=blocks, cholesky=cholesky)
 
 
 def solve(gram, samples, ridge_sigma2=0.0):
@@ -231,8 +263,7 @@ def solve(gram, samples, ridge_sigma2=0.0):
 def evaluate(interp, t):
     """Evaluate the kernel expansion sum_n c_n psi(t - n T) at ``t``,
     broadcast over its shape."""
-    gram = interp.gram
-    return _kernel_matrix(gram.kernel, t, gram.spacing_T, gram.half_count_N) @ interp.coeffs_c
+    return _kernel_product(interp.gram, t, interp.coeffs_c)
 
 
 def cardinal_coeffs(gram, n):
@@ -248,8 +279,7 @@ def cardinal_coeffs(gram, n):
 
 def cardinal(gram, n, t):
     """Cardinal interpolation function u_n(t), satisfying u_n(mT) = delta[n-m]."""
-    p = cardinal_coeffs(gram, n)
-    return _kernel_matrix(gram.kernel, t, gram.spacing_T, gram.half_count_N) @ p
+    return _kernel_product(gram, t, cardinal_coeffs(gram, n))
 
 
 def _cardinal_values(gram, t):
@@ -284,35 +314,45 @@ def _kernel_halves(gram, t):
             for block, chol, part in zip(gram.blocks, halves, parts)]
 
 
-def _halves(r):
-    """Even and odd blocks E, O of the centrosymmetric Gram matrix R, as new
-    arrays, from its generator r_k = psi(kT), k = 0..2N.
+def _fill_half(r, h, block):
+    """Fill ``block`` with the even (h = 0) or odd (h = 1) block, E or O, of
+    the centrosymmetric Gram matrix R of generator r_k = psi(kT), k = 0..2N.
 
     ``E[i, j] = r_|i-j| + r_(i+j)`` for i, j = 0..N, except that row and
     column 0 are ``sqrt2 r_j`` and ``E[0, 0] = r_0``; and
     ``O[i, j] = r_|i-j| - r_(i+j)`` for i, j = 1..N. The Toeplitz term is a
     window of the palindrome r_N..r_1, r_0, r_1..r_N and the Hankel term a
-    window of r, so only the two blocks are allocated.
+    window of r, so nothing of the block's size is allocated. Both blocks
+    are exactly symmetric.
     """
     N = r.size // 2
     toeplitz_part = sliding_window_view(np.concatenate([r[N:0:-1], r[:N + 1]]), N + 1)[::-1]
     hankel_part = sliding_window_view(r, N + 1)
-    even = toeplitz_part + hankel_part
-    even[0, 1:] *= _SQRT_HALF
-    even[1:, 0] *= _SQRT_HALF
-    even[0, 0] = r[0]
-    odd = toeplitz_part[1:, 1:] - hankel_part[1:, 1:]
-    return even, odd
+    if h:
+        np.subtract(toeplitz_part[1:, 1:], hankel_part[1:, 1:], out=block)
+        return
+    np.add(toeplitz_part, hankel_part, out=block)
+    block[0, 1:] *= _SQRT_HALF
+    block[1:, 0] *= _SQRT_HALF
+    block[0, 0] = r[0]
 
 
-def _factor_halves(blocks):
+def _factor_halves(blocks, fill=None):
     """The lower Cholesky factor of each block, Fortran-ordered with the
     block's upper triangle left as it is (as ``cho_factor`` leaves it), or
-    None when one of them is not numerically positive definite."""
-    factors = [np.array(block, order="F") for block in blocks]
+    None when one of them is not numerically positive definite.
+
+    ``fill(h)``, when given, first fills block h, in the same thread as its
+    factor. A block is exactly symmetric, so its transpose, a Fortran-ordered
+    copy made by one memcpy, holds the same values.
+    """
+    factors = [np.empty(block.shape, order="F") for block in blocks]
     infos = [0, 0]
 
     def factor(h):
+        if fill is not None:
+            fill(h)
+        np.copyto(factors[h].T, blocks[h])
         infos[h] = _lapack.potrf(factors[h])
 
     run_halves(factor, factors[1].shape[0] ** 3 / 3)
@@ -344,10 +384,14 @@ def _unfold(even, odd):
 
 def _solve_halves(halves, x):
     """R^{-1} x for 1-d x over n = -N..N, one Cholesky solve per half of
-    `_fold(x)`, in place in the folded parts."""
+    `_fold(x)`, in place in the folded parts, the odd half in a worker
+    thread when its factor has ``_MIN_SPLIT_SOLVE`` entries (`run_halves`)."""
     parts = _fold(x)
-    for chol, part in zip(halves, parts):
-        _lapack.potrs(chol, part)
+
+    def solve_half(h):
+        _lapack.potrs(halves[h], parts[h])
+
+    run_halves(solve_half, halves[1].size, _MIN_SPLIT_SOLVE)
     return _unfold(*parts)
 
 
@@ -371,8 +415,51 @@ def _kernel_matrix(kernel, t, T, N):
     infinite time raises `ValueError` before any psi is evaluated.
     """
     t = np.asarray(t, dtype=float)
-    width = 2 * N + 1
+    lattice = _lattice_rows(kernel, t.ravel(), T, N)
+    if lattice is None:
+        return psi_closed_form(kernel, t[..., None] - np.arange(-N, N + 1) * T)
+    windows, rows = lattice
+    return windows[rows].reshape(t.shape + (2 * N + 1,))
+
+
+def _kernel_product(gram, t, c):
+    """``_kernel_matrix(...) @ c`` for the nodes of ``gram``, with the shape
+    of ``t``, formed a block of rows of the matrix at a time (about
+    ``_PRODUCT_ENTRIES`` entries, in whole multiples of ``_PRODUCT_ALIGN``
+    rows): the windows of the lattice runs or the direct psi rows, so that
+    the matrix itself never exists."""
+    kernel, T, N = gram.kernel, gram.spacing_T, gram.half_count_N
+    t = np.asarray(t, dtype=float)
     flat = t.ravel()
+    lattice = _lattice_rows(kernel, flat, T, N)
+    nodes = np.arange(-N, N + 1) * T
+    out = np.empty(flat.size)
+    # one product per row along the last axis of t, as matmul takes a stack;
+    # the last block of a row takes its remainder, so that no block is a
+    # short product of its own
+    length = t.shape[-1] if t.ndim else 1
+    step = _PRODUCT_ALIGN * max(1, _PRODUCT_ENTRIES // (nodes.size * _PRODUCT_ALIGN))
+    count = max(1, length // step)
+    for first in range(0, flat.size, max(1, length)):
+        for k in range(count):
+            start = first + k * step
+            stop = start + step if k + 1 < count else first + length
+            if lattice is None:
+                block = psi_closed_form(kernel, flat[start:stop, None] - nodes)
+            else:
+                windows, rows = lattice
+                block = windows[rows[start:stop]]
+            np.matmul(block, c, out=out[start:stop])
+    return out.reshape(t.shape)[()]
+
+
+def _lattice_rows(kernel, flat, T, N):
+    """The runs of `_kernel_matrix` for the 1-d ``flat``, as ``(windows,
+    rows)`` with row j of the matrix in ``windows[rows[j]]``, or None when
+    the matrix is to be evaluated entry by entry. Raises `ValueError` for a
+    NaN or infinite time.
+    """
+    width = 2 * N + 1
     if not np.all(np.isfinite(flat)):
         raise ValueError("evaluation times must be finite")
     if flat.size > 1:
@@ -431,14 +518,16 @@ def _kernel_matrix(kernel, t, T, N):
                 # reversed, a flipped row is a window of the reversed table
                 rows[flip] = 2 * table.size - width - rows[flip]
                 windows = sliding_window_view(np.concatenate([table, table[::-1]]), width)
-                return windows[rows].reshape(t.shape + (width,))
-    nodes = np.arange(-N, N + 1) * T
-    return psi_closed_form(kernel, t[..., None] - nodes)
+                return windows, rows
+    return None
 
 
 def truncated_shannon(samples, t):
-    """Classical truncated interpolation sum_n x[n] sinc(t/T - n)."""
+    """Classical truncated interpolation sum_n x[n] sinc(t/T - n). A NaN or
+    infinite time raises `ValueError`."""
     t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError("evaluation times must be finite")
     T = samples.spacing_T
     sinc_mat = shannon_kernel(T, t[..., None] - samples.times)
     return sinc_mat @ samples.values

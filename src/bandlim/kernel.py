@@ -17,7 +17,17 @@ tabulated density S (reciprocal weight linear between grid nodes, as
 ``np.interp`` reads it, and constant beyond the end nodes) the transform
 ``(1/pi) integral_0^{2 pi B} S(omega) cos(omega t)`` is summed exactly over
 the linear pieces. Both run over the flattened times in fixed blocks, so
-temporaries stay O(block) and peak memory is the output array. An
+temporaries stay O(block) and peak memory is the output array; an input of
+one block or less is evaluated straight, with no loop. Past one block the
+blocks are shared by two CPUs (`_parallel.run_split`), cut at the block edge
+nearest the middle, when the smaller share of the work is large enough. Each
+block is evaluated alike on either path, so the values are bitwise those of
+one thread. The spline blocks are numpy ufuncs, entry by entry, and come in
+an even count of equal blocks, so that the cut halves the work; they split
+whatever the BLAS. The density grid's blocks end in a BLAS product, which
+rounds a row by where it falls in its block, so they keep their length, and
+split only when the BLAS runs one thread, as `_parallel.run_halves`
+requires. An
 adaptive-quadrature path evaluates the same transform directly from the
 reciprocal weight; it is the independent oracle for the closed forms and is
 used only to check them.
@@ -27,6 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
+from ._parallel import cpu_count, run_split
 from .quadrature import DEFAULT_TOLERANCE, adaptive_simpson
 from .weights import DensityGrid, WeightSpec, _check_bandwidth, flat_spec, \
     inverse_weight_eval
@@ -35,6 +47,14 @@ from .weights import DensityGrid, WeightSpec, _check_bandwidth, flat_spec, \
 # small enough for the block temporaries to stay in cache (2^14..2^16 timed
 # the same).
 _BLOCK = 1 << 14
+# Entries of work (times, or times by pieces for a density grid) in the
+# smaller share at least, for `psi_closed_form` to split its blocks over two
+# CPUs. On a 2-core host with the BLAS on one thread, a spec psi cut after
+# 16384 of 16384 + n times took, split against inline, 632 against 597 us at
+# n = 512, 620 against 638 us at n = 2048 and 610 against 678 us at
+# n = 4096. (Cut in equal halves, as spline blocks now are, 42358 times took
+# 0.81-0.87 against 1.19-1.21 ms.)
+_MIN_SPLIT_ENTRIES = 4096
 
 # Below this |x| the piece factors sin(x)/x and (sin x - x cos x)/x^2 come
 # from their Taylor series (ascending powers of x^2, truncation under 1e-16
@@ -90,28 +110,63 @@ class Kernel:
 
 
 def psi_closed_form(kernel, t):
-    """Evaluate the kernel at times ``t`` via the closed-form expression."""
+    """Evaluate the kernel at times ``t`` via the closed-form expression.
+
+    A NaN or infinite time raises `ValueError`. Past one block, the blocks
+    are split at the block edge nearest the middle of ``t`` over two CPUs
+    (`_parallel.run_split`) when the smaller part holds at least
+    ``_MIN_SPLIT_ENTRIES`` entries of work and the process may use two
+    CPUs; a density grid needs the BLAS on one thread too. Each block is
+    evaluated the same either way, so the values are bitwise those of one
+    thread.
+    """
     t = np.asarray(t, dtype=float)
-    B = kernel.bandwidth_B
-    if kernel.grid is not None:
-        return _psi_grid(kernel, t)
-    spec = kernel.spec
+    flat = t.ravel()
+    if not np.isfinite(flat).all():
+        raise ValueError("evaluation times must be finite")
+    values, step, cost = (_spec_values(kernel.spec) if kernel.grid is None
+                          else _grid_values(kernel))
+    if flat.size <= step:
+        # [()] turns a 0-d result into a scalar, as the ufunc path returns
+        return values(flat).reshape(t.shape)[()]
+    if kernel.grid is None:
+        # equal spline blocks, an even count of them, so that the cut halves
+        # the work (the grid's blocks keep their length: their BLAS product
+        # rounds a row by where it falls in the block)
+        pairs = -(-flat.size // (2 * step))
+        step = -(-flat.size // (2 * pairs))
+    out = np.empty(flat.shape)
+
+    def fill(start, stop):
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            out[lo:hi] = values(flat[lo:hi])
+
+    cut = step * round(flat.size / (2 * step))
+    if (min(cut, flat.size - cut) * cost >= _MIN_SPLIT_ENTRIES and cpu_count() >= 2
+            and (kernel.grid is None or _lapack.blas_threads() == 1)):
+        run_split(fill, [0, cut, flat.size])
+    else:
+        fill(0, flat.size)
+    return out.reshape(t.shape)
+
+
+def _spec_values(spec):
+    """The psi of a weight spec as a function of one block of times, with the
+    block's length in times and its work per time (1)."""
+    B = spec.bandwidth_B
     A = spec.spacing_A
     M = spec.half_count_M
     d = spec.coeffs_d
+    floor = 2.0 * spec.floor_alpha * B
+    # the flat spec has no spline mass: its kernel is the floor term alone
+    if not d.any():
+        return (lambda tb: floor * np.sinc(2.0 * B * tb)), _BLOCK, 1
     # Chebyshev coefficients of d_M + 2 sum_m d_{M+m} T_m(x), x = cos(2 A t)
     cheb = np.concatenate([d[M:M + 1], 2.0 * d[M + 1:]])
     scale = A / np.pi
-    floor = 2.0 * spec.floor_alpha * B
-    # the flat spec has no spline mass: its kernel is the floor term alone
-    spline = bool(np.any(d))
-    flat = t.ravel()
-    out = np.empty(flat.shape)
-    for start in range(0, flat.size, _BLOCK):
-        tb = flat[start:start + _BLOCK]
-        if not spline:
-            out[start:start + _BLOCK] = floor * np.sinc(2.0 * B * tb)
-            continue
+
+    def values(tb):
         s = np.sinc(A * tb / np.pi)
         env = s.copy()
         for _ in range(spec.degree_K):
@@ -120,13 +175,15 @@ def psi_closed_form(kernel, t):
         env *= _clenshaw(cheb, np.cos(2.0 * A * tb))
         if floor != 0.0:
             env += floor * np.sinc(2.0 * B * tb)
-        out[start:start + _BLOCK] = env
-    # [()] turns a 0-d result into a scalar, as the ufunc path returns
-    return out.reshape(t.shape)[()]
+        return env
+
+    return values, _BLOCK, 1
 
 
-def _psi_grid(kernel, t):
-    """Transform of a tabulated density, summed exactly over its linear pieces.
+def _grid_values(kernel):
+    """Transform of a tabulated density, summed exactly over its linear pieces,
+    as a function of one block of times, with the block's length in times and
+    its work per time (the piece count).
 
     On a piece of width h = 2 delta around c the density is S_bar + m (omega - c),
     and its contribution to (1/pi) integral_0^{2piB} S cos(omega t) is
@@ -144,11 +201,9 @@ def _psi_grid(kernel, t):
     mid, half = 0.5 * (cuts[:-1] + cuts[1:]), 0.5 * width
     mean_w = width * (0.5 / np.pi) * (s[:-1] + s[1:])
     slope_w = width * (0.5 / np.pi) * (s[1:] - s[:-1])
-    flat = np.abs(t.ravel())
-    out = np.empty(flat.shape)
-    step = max(1, _BLOCK // mid.size)
-    for start in range(0, flat.size, step):
-        tb = flat[start:start + step]
+
+    def values(tb):
+        tb = np.abs(tb)
         x = np.multiply.outer(tb, half)
         x2 = x * x
         sinc = np.polynomial.polynomial.polyval(x2, _SINC_SERIES)
@@ -162,8 +217,9 @@ def _psi_grid(kernel, t):
         phase = np.multiply.outer(tb, mid)
         sinc *= np.cos(phase)
         slope *= np.sin(phase)
-        out[start:start + step] = sinc @ mean_w - slope @ slope_w
-    return out.reshape(t.shape)[()]
+        return sinc @ mean_w - slope @ slope_w
+
+    return values, max(1, _BLOCK // mid.size), mid.size
 
 
 def _clenshaw(cheb, x):

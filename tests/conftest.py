@@ -1,4 +1,8 @@
+import os
+import threading
 from collections import namedtuple
+from contextlib import ExitStack, contextmanager
+from unittest.mock import patch
 
 import mpmath
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from scipy.linalg import toeplitz
 
 from bandlim import AnalyticSignal, Kernel, WeightSpec, inverse_weight_eval, matched_weights
+from bandlim import _lapack, _parallel, interpolate
 
 BANDWIDTH = 1.0
 
@@ -98,6 +103,26 @@ def dense_gram(gram):
     """The full Gram matrix R = psi((m - n) T) of a `GramMatrix`, as a test
     reference: the symmetric Toeplitz matrix of its first row."""
     return toeplitz(gram.first_row)
+
+
+@contextmanager
+def split_cpus(cpus, blas_threads, min_flops=None):
+    """Pretend the process may run on ``cpus`` CPUs and the BLAS reports
+    ``blas_threads``, with both gates of the Gram halves (their flops and
+    the factor entries of a one-vector solve) at ``min_flops`` when given;
+    yield the threads started meanwhile."""
+    started = []
+    start = threading.Thread.start
+    with ExitStack() as stack:
+        stack.enter_context(patch.object(os, "sched_getaffinity",
+                                         lambda pid: set(range(cpus)), create=True))
+        stack.enter_context(patch.object(_lapack, "blas_threads", lambda: blas_threads))
+        stack.enter_context(patch.object(threading.Thread, "start",
+                                         lambda thread: started.append(thread) or start(thread)))
+        if min_flops is not None:
+            stack.enter_context(patch.object(_parallel, "_MIN_SPLIT_FLOPS", min_flops))
+            stack.enter_context(patch.object(interpolate, "_MIN_SPLIT_SOLVE", min_flops))
+        yield started
 
 
 FlatGramReference = namedtuple("FlatGramReference", "dense v u p2 c norm_sq")

@@ -345,6 +345,14 @@ class TestShannonBound:
         with pytest.raises(InfeasibleBallError):
             minimax_worstcase(samples, 0.1, 0.0, tail_range=50)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        # attained_error once came out NaN here, with a RuntimeWarning from sin
+        samples = SampleSet(0.5, np.array([1.0, -2.0, 0.5]))
+        with pytest.raises(ValueError, match="evaluation times must be finite"):
+            minimax_worstcase(samples, 10.0, t, tail_range=50)
+
     def test_nonfinite_or_negative_energy_rejected(self):
         samples = SampleSet(0.5, np.array([1.0, -2.0, 0.5]))
         for bad in (np.nan, np.inf, -10.0):

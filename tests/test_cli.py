@@ -318,6 +318,48 @@ def test_non_integral_integer_keys_name_the_key(tmp_path, capsys, command, key,
     assert not out.exists() or not list(out.iterdir())
 
 
+FLOAT_KEYS = [
+    ("compare", "bandwidth_hz", lambda v: {"bandwidth_hz": v}),
+    ("compare", "nyquist_fraction", lambda v: {"nyquist_fraction": v}),
+    ("bounds", "ball_radius", lambda v: {"ball_radius": v}),
+    ("kernel", "grid.min_s", lambda v: {"grid": {"min_s": v, "max_s": 5.0, "count": 51}}),
+    ("kernel", "grid.max_s", lambda v: {"grid": {"min_s": -5.0, "max_s": v, "count": 51}}),
+    ("compare", "ridge_sigma2", lambda v: {"ridge_sigma2": v}),
+    ("mc", "mc.eval_time_s", lambda v: {"mc": {"realizations": 4, "eval_time_s": v}}),
+    ("kernel", "weights.matched.smoothing_scale",
+     lambda v: {"weights": {"matched": {"smoothing_scale": v}}}),
+    ("kernel", "weights.matched.power_p", lambda v: {"weights": {"matched": {"power_p": v}}}),
+    ("kernel", "weights.matched.power_eps",
+     lambda v: {"weights": {"matched": {"power_eps": v}}}),
+]
+
+
+@pytest.mark.parametrize("value", [True, False, "1", None])
+@pytest.mark.parametrize("command, key, overrides", FLOAT_KEYS)
+def test_non_numeric_float_keys_name_the_key(tmp_path, capsys, command, key, overrides,
+                                             value):
+    # "nyquist_fraction": true once ran at the critical rate and exited 0
+    cfg = write_config(tmp_path, **{"ball_radius": 10.0, **overrides(value)})
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(cfg), "--output-dir", str(out),
+                    "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {key} must be a number, got {value!r}\n")
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_integral_float_keys_run_as_floats(tmp_path):
+    # JSON may write 1.0 as 1
+    outs = []
+    for name, bandwidth in (("int", 1), ("float", 1.0)):
+        cfg = write_config(tmp_path, name=f"{name}.json", bandwidth_hz=bandwidth,
+                           grid={"min_s": -5, "max_s": 5, "count": 201})
+        assert run_cli(["compare", "--config", str(cfg), "--output-dir",
+                        str(tmp_path / name), "--quiet"]) == 0
+        outs.append((tmp_path / name / "compare.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize("value", ["10", None, [10]])
 def test_non_numeric_half_count_is_invalid(tmp_path, capsys, value):
     cfg = write_config(tmp_path, half_count_n=value)

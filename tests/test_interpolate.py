@@ -13,7 +13,8 @@ from bandlim import (DensityGrid, Kernel, NotPositiveDefiniteError, PSDModel, Sa
                      evaluate, inverse_weight_eval, power_function,
                      psi_closed_form, sample_signal, shannon_kernel, solve,
                      squared_errors, truncated_shannon, wnorm_sq)
-from bandlim.interpolate import _cardinal_values, _fold, _halves, _kernel_matrix, _unfold
+from bandlim.interpolate import (_cardinal_values, _fill_half, _fold, _kernel_matrix,
+                                 _unfold)
 from conftest import (TOL_ULPS, dense_gram, grid_kernel_reference, lattice_tolerance,
                       random_weight_spec)
 
@@ -313,6 +314,14 @@ class TestTruncatedShannon:
         assert float(truncated_shannon(samples, T / 2)) == pytest.approx(
             direct, rel=1e-14)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t", [np.nan, np.inf, [0.1, np.nan, 0.2], [[0.0], [-np.inf]]])
+    def test_non_finite_times_rejected(self, t):
+        # NaN came out here once, with a RuntimeWarning from sin
+        samples = SampleSet(0.5, np.ones(5))
+        with pytest.raises(ValueError, match="evaluation times must be finite"):
+            truncated_shannon(samples, t)
+
 
 class TestWeightedNorm:
     def test_identity_against_quadrature(self, lowpass_spec, lowpass_kernel):
@@ -477,6 +486,32 @@ def test_kernel_matrix_off_lattice_is_direct(kernel, T, N, t):
     value = _kernel_matrix(kernel, t, T, N)
     assert value.shape == t.shape + (2 * N + 1,)
     np.testing.assert_array_equal(value, dense_kernel_matrix(kernel, t, T, N))
+
+
+@pytest.mark.parametrize("lattice", [True, False])
+@pytest.mark.parametrize("shape", [(1,), (127,), (128,), (129,), (256,), (2, 300), (385,)])
+def test_blocked_products_are_bitwise_the_matrix_product(lowpass_kernel, monkeypatch,
+                                                         lattice, shape):
+    # blocks of 128 rows, the least `_kernel_product` takes; at N = 10 each
+    # reference product stays under the size at which OpenBLAS spreads one
+    # gemv over threads, which rounds its rows otherwise than one call
+    monkeypatch.setattr(interpolate_module, "_PRODUCT_ENTRIES", 1)
+    T, N = 0.75, 10
+    size = int(np.prod(shape))
+    rng = np.random.default_rng(size)
+    t = (np.arange(size) - size // 3) * (T / 8) if lattice else rng.uniform(-20.0, 20.0, size)
+    t = t.reshape(shape)
+    samples = SampleSet(T, rng.standard_normal(2 * N + 1))
+    gram = build_gram(lowpass_kernel, T, N)
+    interp = solve(gram, samples)
+    with counted_psi() as counts:
+        matrix = _kernel_matrix(lowpass_kernel, t, T, N)
+    # the lattice cases evaluate fewer psi than the matrix holds, the others all
+    assert (sum(counts) < matrix.size) == (lattice and size > 1)
+    for value, c in ((evaluate(interp, t), interp.coeffs_c),
+                     (cardinal(gram, 3, t), cardinal_coeffs(gram, 3))):
+        assert value.shape == shape
+        assert value.tobytes() == (matrix @ c).tobytes()
 
 
 TIME_USES = {
@@ -742,7 +777,7 @@ def test_halves_match_dense_solve(kernel, ratio, N, sigma2, seed):
 
 
 def halves_of_dense(r):
-    """E and O read off the full Toeplitz matrix of r: the reference for `_halves`."""
+    """E and O read off the full Toeplitz matrix of r: the reference for `_fill_half`."""
     dense = toeplitz(r)
     N = dense.shape[0] // 2
     even = dense[N:, N:] + dense[N:, N::-1]
@@ -760,7 +795,10 @@ def halves_of_dense(r):
 @example(np.array([2.0, -0.5, 0.25]))
 def test_halves_match_toeplitz(r):
     # N = 0 leaves the odd half empty, and N = 1 makes it 1 x 1
-    even, odd = _halves(r)
+    N = r.size // 2
+    even, odd = np.full((N + 1, N + 1), np.nan), np.full((N, N), np.nan)
+    _fill_half(r, 0, even)
+    _fill_half(r, 1, odd)
     ref_even, ref_odd = halves_of_dense(r)
     assert even.shape == ref_even.shape and odd.shape == ref_odd.shape
     assert even.tobytes() == ref_even.tobytes() and odd.tobytes() == ref_odd.tobytes()

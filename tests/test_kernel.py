@@ -8,7 +8,7 @@ from bandlim import (BandError, DensityGrid, Kernel, WeightSpec, psi_closed_form
 from bandlim import kernel as kernel_module, weights as weights_module
 from bandlim.kernel import _BLOCK
 from bandlim.weights import NonPositiveWeightError
-from conftest import (random_weight_spec, tabulated_transform_reference,
+from conftest import (random_weight_spec, split_cpus, tabulated_transform_reference,
                       tabulated_transform_scale)
 
 
@@ -322,3 +322,57 @@ def test_grid_closed_form_across_block_boundaries():
         np.testing.assert_allclose(value[edge - 2:edge + 2], expected[edge - 2:edge + 2],
                                    rtol=0, atol=tol)
     np.testing.assert_allclose(value, expected, rtol=0, atol=tol)
+
+
+# --- psi on two CPUs -------------------------------------------------------
+
+
+def _split_cases():
+    """A spec and a grid kernel, each with sizes of t either side of one
+    block, of the split gate and of the block edges, and the threads each
+    should start on two CPUs. A spec's blocks come in equal pairs, so past
+    one block its smaller part is past the gate; a grid's blocks keep their
+    length, and the second part may fall short of it."""
+    spec_sizes = [_BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1,
+                  3 * _BLOCK + 7, 4 * _BLOCK + 1]
+    yield (Kernel.from_spec(random_weight_spec(7)),
+           {size: int(size > _BLOCK) for size in spec_sizes})
+    _, grid = grid_example(1.0, -1.1, 1.1, 30, seed=4)
+    pieces = np.count_nonzero((grid.omegas > 0) & (grid.omegas < 2.0 * np.pi)) + 1
+    step = _BLOCK // pieces
+    # times in the second part at which the split starts
+    gate = -(-kernel_module._MIN_SPLIT_ENTRIES // pieces)
+    yield (Kernel.from_grid(1.0, grid),
+           {step: 0, step + 1: 0, step + gate - 1: 0, step + gate: 1, 2 * step - 1: 1,
+            2 * step: 1, 2 * step + 1: 1, 3 * step + 7: 1})
+
+
+@pytest.mark.parametrize("kernel, sizes", list(_split_cases()))
+def test_split_psi_is_bitwise_the_inline_one(kernel, sizes):
+    rng = np.random.default_rng(11)
+    for size, threads in sizes.items():
+        t = rng.uniform(-40.0, 40.0, size)
+        with split_cpus(1, 1) as started:
+            inline = psi_closed_form(kernel, t)
+        assert started == []
+        with split_cpus(2, 1) as started:
+            split = psi_closed_form(kernel, t)
+        assert len(started) == threads, size
+        assert split.tobytes() == inline.tobytes(), size
+        # a density grid's blocks end in a BLAS product: a multi-threaded BLAS
+        # keeps them in the caller, while a weight spec splits whatever the BLAS
+        with split_cpus(2, 2) as started:
+            other = psi_closed_form(kernel, t)
+        assert len(started) == (threads if kernel.grid is None else 0)
+        assert other.tobytes() == inline.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kernel", [Kernel.uniform(1.0), Kernel.from_spec(random_weight_spec(3)),
+                                    Kernel.from_grid(*grid_example(1.0, -1.1, 1.1, 12))])
+@pytest.mark.parametrize("t", [np.nan, -np.inf, [0.5, np.inf], [[0.0, 0.5], [np.nan, 1.0]],
+                               np.append(np.linspace(-5.0, 5.0, 3 * _BLOCK), np.nan)])
+def test_non_finite_times_rejected(kernel, t):
+    # psi once returned NaN here, with a RuntimeWarning from sin
+    with split_cpus(2, 1), pytest.raises(ValueError, match="evaluation times must be finite"):
+        psi_closed_form(kernel, t)

@@ -1,10 +1,8 @@
 """The GIL-free LAPACK bindings and the two-CPU split of the Gram halves."""
 
-import os
 import sys
 import threading
 import time
-from contextlib import ExitStack, contextmanager
 from unittest.mock import patch
 
 import numpy as np
@@ -13,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dtrsm
 
-from bandlim import (Kernel, NotPositiveDefiniteError, SampleSet, build_gram, power_function,
-                     solve, wnorm_sq)
-from bandlim import _lapack, _parallel
+from bandlim import (Kernel, NotPositiveDefiniteError, SampleSet, build_gram, cardinal, evaluate,
+                     power_function, solve, wnorm_sq)
+from bandlim import _lapack, kernel as kernel_module
 from bandlim.interpolate import _cardinal_values
+from conftest import split_cpus
 
 B = 1.0
 
@@ -72,23 +71,6 @@ def test_bindings_reject_arrays_they_cannot_pass():
         _lapack.potrs(chol, np.ones(4))
 
 
-@contextmanager
-def _split(cpus, blas_threads, min_flops=None):
-    """Pretend the process may run on ``cpus`` CPUs and the BLAS reports
-    ``blas_threads``; yield the threads started meanwhile."""
-    started = []
-    start = threading.Thread.start
-    with ExitStack() as stack:
-        stack.enter_context(patch.object(os, "sched_getaffinity",
-                                         lambda pid: set(range(cpus)), create=True))
-        stack.enter_context(patch.object(_lapack, "blas_threads", lambda: blas_threads))
-        stack.enter_context(patch.object(threading.Thread, "start",
-                                         lambda thread: started.append(thread) or start(thread)))
-        if min_flops is not None:
-            stack.enter_context(patch.object(_parallel, "_MIN_SPLIT_FLOPS", min_flops))
-        yield started
-
-
 def _lattice_case():
     # N = 150 with T 2B = 1.2, and a grid of step T/16 that holds every node,
     # so that power_function takes its second stage too
@@ -99,8 +81,13 @@ def _lattice_case():
 
 
 @pytest.mark.parametrize("cpus, blas_threads", [(1, 1), (2, 2), (4, None)])
-def test_concurrent_halves_are_bitwise_the_inline_ones(lowpass_kernel, cpus, blas_threads):
+def test_concurrent_halves_are_bitwise_the_inline_ones(lowpass_kernel, monkeypatch, cpus,
+                                                       blas_threads):
     T, N, t, samples = _lattice_case()
+    # psi in blocks of 512 entries, split at any size, so that the kernel
+    # tables of this case (about 2400 entries) split too
+    monkeypatch.setattr(kernel_module, "_BLOCK", 512)
+    monkeypatch.setattr(kernel_module, "_MIN_SPLIT_ENTRIES", 0)
 
     def products(started):
         """The bytes of each split site's product, and the threads each started."""
@@ -115,31 +102,35 @@ def test_concurrent_halves_are_bitwise_the_inline_ones(lowpass_kernel, cpus, bla
         gram = counted(build_gram, lowpass_kernel, T, N)
         interp = counted(solve, gram, samples)
         values = [*gram.cholesky, interp.coeffs_c, counted(power_function, gram, t),
-                  counted(_cardinal_values, gram, t), np.float64(counted(wnorm_sq, interp))]
+                  counted(_cardinal_values, gram, t), np.float64(counted(wnorm_sq, interp)),
+                  counted(evaluate, interp, t), counted(cardinal, gram, 0, t)]
         return [value.tobytes(order="A") for value in values], threads
 
     # a short switch interval interleaves the caller and the worker finely
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with _split(2, 1, 0) as started:
+        with split_cpus(2, 1, 0) as started:
             split, threads = products(started)
     finally:
         sys.setswitchinterval(interval)
-    # one worker per split site: the factors, and the first stage of
-    # power_function with its row sums and its second stage; the solve, the
-    # cardinals and the quadratic forms stay in the caller
-    assert threads == [1, 0, 2, 0, 0]
-    with _split(cpus, blas_threads, 0) as started:
-        inline, _ = products(started)
-    assert started == []
+    # one worker per split site: the filled and factored halves (the first
+    # row of 301 entries is one psi block); the solve; in power_function its
+    # kernel table, its first stage with the row sums and its second stage;
+    # the kernel tables of the cardinals, of evaluate and of cardinal, and
+    # the solve of cardinal. The quadratic forms stay in the caller.
+    assert threads == [1, 1, 3, 1, 0, 1, 2]
+    with split_cpus(cpus, blas_threads, 0) as started:
+        inline, threads = products(started)
+    # psi of a weight spec splits whatever the BLAS; the halves do not
+    assert threads == ([0, 0, 1, 1, 0, 1, 1] if cpus > 1 else [0] * 7)
     assert split == inline
 
 
 def test_large_halves_split_at_the_default_threshold(lowpass_kernel):
     T, N, t, _ = _lattice_case()
     gram = build_gram(lowpass_kernel, T, N)
-    with _split(2, 1) as started:
+    with split_cpus(2, 1) as started:
         power_function(gram, t)
     # the first stage, 1201 distinct |t| by 150^2 flops, is past
     # _MIN_SPLIT_FLOPS; the second, on the 76 distinct |t| at nodes, is not
@@ -153,7 +144,7 @@ def test_multithreaded_or_silent_blas_starts_no_thread(lowpass_kernel, blas_thre
     def refuse(thread):
         raise AssertionError("a thread was started")
 
-    with _split(8, blas_threads, 0), patch.object(threading.Thread, "start", refuse):
+    with split_cpus(8, blas_threads, 0), patch.object(threading.Thread, "start", refuse):
         gram = build_gram(lowpass_kernel, T, N)
         wnorm_sq(solve(gram, samples))
         power_function(gram, t)
@@ -163,7 +154,7 @@ def test_multithreaded_or_silent_blas_starts_no_thread(lowpass_kernel, blas_thre
 @pytest.mark.parametrize("min_flops", [0, None])
 def test_unfactored_gram_under_either_path(min_flops):
     # heavy oversampling drives the flat kernel's eigenvalues below machine zero
-    with _split(2, 1, min_flops):
+    with split_cpus(2, 1, min_flops):
         gram = build_gram(Kernel.uniform(B), 0.3 / (2 * B), 15)
         assert gram.cholesky is None
         with pytest.raises(NotPositiveDefiniteError):
@@ -187,7 +178,7 @@ def test_worker_failure_is_raised_after_the_join(lowpass_kernel, capfd):
 
     escaped = []
     before = threading.active_count()
-    with _split(2, 1, 0) as started, patch.object(_lapack, "dtrsm", failing), \
+    with split_cpus(2, 1, 0) as started, patch.object(_lapack, "dtrsm", failing), \
             patch.object(threading, "excepthook", escaped.append), \
             pytest.raises(RuntimeError, match="odd half failed"):
         power_function(gram, t)
