@@ -9,12 +9,13 @@ is built on the kernel power function
 which vanishes at the sample nodes. With the cardinal values
 u = R^{-1} psi(t - nT) it equals the LMMSE error variance, the Schur form
 psi(0) - v R^{-1} v of the kernel row v = psi(t - nT). `power_function`
-takes that form from one triangular solve per half of R and finishes only
-the points near the nodes, where it cancels to roundoff, in the
-second-order form above. A matched-filter tail adversary realizes the
-classical bound of truncated sinc interpolation under an energy budget,
-C sqrt((1 - sum_n sinc^2(t/T - n)) / T), on a truncated index set,
-providing a constructive worst case.
+sets P = 0 exactly at the node times themselves, with no solve, takes the
+Schur form of every other point from one triangular solve per half of R,
+and finishes the points near the nodes, where that form cancels to
+roundoff, in the second-order form above. A matched-filter tail adversary
+realizes the classical bound of truncated sinc interpolation under an
+energy budget, C sqrt((1 - sum_n sinc^2(t/T - n)) / T), on a truncated
+index set, providing a constructive worst case.
 """
 
 from dataclasses import dataclass
@@ -27,11 +28,9 @@ from .interpolate import _kernel_halves, truncated_shannon, wnorm_sq
 
 POWER_CLAMP = 1e-12
 # Below this multiple of max(1, |psi0|) the Schur P^2 is finished in the
-# second-order form (`power_function`)
+# second-order form (`_power_sq`)
 _SECOND_ORDER_BELOW = np.sqrt(np.finfo(float).eps)
 FEASIBILITY_RTOL = 1e-9
-# Entries of the scratch product of `_row_dot` (0.5 MB)
-_DOT_ENTRIES = 65536
 
 
 class InfeasibleBallError(ValueError):
@@ -75,7 +74,30 @@ class MinimaxAdversary:
 def power_function(gram, t):
     """Power function P(t) >= 0 of the Gram system, zero at the nodes.
 
-    The kernel values v[:, j] = psi(t_j - nT) are folded into the even and
+    The kernel is even and the nodes are symmetric about 0, so P(-t) = P(t):
+    P is evaluated once per distinct |t| and then spread back. A |t| that is
+    bitwise a node time m T (m = rint(|t|/T) <= N, the product that
+    `GramMatrix.times` forms) takes P = 0, its true value, with no kernel
+    values and no solve; the others go to `_power_sq`. A Gram that does not
+    factor raises first, even when every point is a node. The result has
+    the shape of ``t`` (at least 1-d).
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    gram.factor()
+    s, back = np.unique(np.abs(t.ravel()), return_inverse=True)
+    N, T = gram.half_count_N, gram.spacing_T
+    m = np.rint(s / T)
+    off = np.flatnonzero((m > N) | (m * T != s))
+    p2 = np.zeros(s.size)
+    if off.size:
+        p2[off] = _power_sq(gram, s[off])
+    return np.sqrt(p2)[back].reshape(t.shape)
+
+
+def _power_sq(gram, s):
+    """P^2 >= 0 at the points ``s`` off the nodes.
+
+    The kernel values v[:, j] = psi(s_j - nT) are folded into the even and
     odd halves E, O of R, v = (v+, v-), and each half is solved in two
     stages of BLAS ``dtrsm`` (`interpolate._kernel_halves`).
     The first stage is one triangular solve per half, w = v L^{-T} for a
@@ -87,45 +109,38 @@ def power_function(gram, t):
     b = O^{-1} v-, and takes the second-order form
     ``psi0 - 2 (a.v+ + b.v-) + a.E a + b.O b`` instead, which is
     ``psi0 - 2 u.v + u.R u`` in the orthonormal fold and whose terms cancel
-    at the nodes. The kernel is even and the nodes are symmetric about 0, so
-    P(-t) = P(t): P is evaluated once per distinct |t| and then spread back,
-    and a grid symmetric about 0 costs half the solves. The first stage
-    with its row sums, and the second stage, each take the two halves
-    through `run_halves`, the odd one in a worker thread when it is large
-    enough. The result has the shape of ``t`` (at least 1-d).
+    at the nodes. The first stage with its row sums, and the second stage,
+    each take the two halves through `run_halves`, the odd one in a worker
+    thread when it is large enough.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    s, back = np.unique(np.abs(t.ravel()), return_inverse=True)
     halves = _kernel_halves(gram, s)
     psi0 = gram.kernel.psi0
     N = gram.half_count_N
-    products = [_row_buffer(w) for _, _, _, w in halves]
     schur = [np.empty(s.size) for _ in halves]
 
     def whiten(h):
         _, chol, _, w = halves[h]
         _lapack.dtrsm(chol, w, trans=True)
-        _row_dot(w, w, products[h], schur[h])
+        np.einsum("ij,ij->i", w, w, out=schur[h])
 
     run_halves(whiten, s.size * N ** 2)
     p2 = psi0 - sum(schur)
     near = np.flatnonzero(p2 < _SECOND_ORDER_BELOW * max(1.0, abs(psi0)))
     if near.size:
         rows = [(v[near], np.asfortranarray(w[near])) for _, _, v, w in halves]
-        products = [_row_buffer(a) for _, a in rows]
         dots = [np.empty((2, near.size)) for _ in rows]
 
         def cardinal_rows(h):
             _, chol, _, _ = halves[h]
             v, a = rows[h]
             _lapack.dtrsm(chol, a, trans=False)
-            _row_dot(a, v, products[h], dots[h][0])
+            np.einsum("ij,ij->i", a, v, out=dots[h][0])
 
         run_halves(cardinal_rows, near.size * N ** 2)
         # numpy's matmul runs on a BLAS of its own, kept to the caller: a
         # second concurrent caller would make it keep a second work buffer
-        for (block, _, _, _), (_, a), product, dot in zip(halves, rows, products, dots):
-            _row_dot(a, a @ block, product, dot[1])
+        for (block, _, _, _), (_, a), dot in zip(halves, rows, dots):
+            np.einsum("ij,ij->i", a, a @ block, out=dot[1])
         (av, a_e_a), (bv, b_o_b) = dots
         p2[near] = psi0 - 2.0 * (av + bv) + a_e_a + b_o_b
     floor = -POWER_CLAMP * max(1.0, abs(psi0))
@@ -133,7 +148,7 @@ def power_function(gram, t):
         raise NegativePowerError(
             f"squared power function reached {float(np.min(p2)):.3e}, below the "
             f"roundoff floor {floor:.3e}; the Gram system is too ill-conditioned")
-    return np.sqrt(np.maximum(p2, 0.0))[back].reshape(t.shape)
+    return np.maximum(p2, 0.0)
 
 
 def weighted_pointwise_bound(interp, D, t_grid):
@@ -201,23 +216,6 @@ def minimax_worstcase(samples, E, t, tail_range=10_000, phase=0.0):
                             constant=constant, attained_error=float(attained),
                             analytic_error=float(analytic),
                             truncation_deficit=float(deficit))
-
-
-def _row_buffer(x):
-    """The row-major scratch of `_row_dot` for rows like those of ``x``."""
-    rows, width = x.shape
-    return np.empty((min(rows, max(1, _DOT_ENTRIES // max(1, width))), width))
-
-
-def _row_dot(x, y, product, out):
-    """Row sums of x * y into ``out``. The products are formed in the
-    row-major ``product``, as many rows at a time as it holds, so that each
-    row is summed pairwise on its own, as in a full-size product."""
-    rows, step = x.shape[0], product.shape[0]
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        np.add.reduce(np.multiply(x[start:stop], y[start:stop], out=product[:stop - start]),
-                      axis=1, out=out[start:stop])
 
 
 def _check_budget(name, value):

@@ -234,7 +234,8 @@ def fit(config_path, output_dir, seed, quiet):
     spec = fit_weights(grid, B,
                        degree_K=_integer(fit_cfg, "fit.degree_k", 3),
                        half_count_M=_integer(fit_cfg, "fit.half_count_m", 11),
-                       floor_alpha=fit_cfg.get("floor_alpha"),
+                       floor_alpha=(_number(fit_cfg, "fit.floor_alpha")
+                                    if "floor_alpha" in fit_cfg else None),
                        transform=transform)
     path = _output_path(output_dir, cfg, "weights", "weights.json")
     spec.save(path)
@@ -388,10 +389,8 @@ def _transform_from_config(section):
     if section["kind"] == "identity":
         return identity_transform
     if section["kind"] == "power":
-        try:
-            return power_transform(float(section["p"]), float(section["eps"]))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"power transform needs p and eps: {exc}") from exc
+        return power_transform(_number(section, "fit.transform.p"),
+                               _number(section, "fit.transform.eps"))
     raise ConfigError(f"unknown transform kind {section['kind']!r}")
 
 

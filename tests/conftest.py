@@ -7,9 +7,10 @@ from unittest.mock import patch
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
+from scipy.linalg import solve as dense_solve, toeplitz
 
-from bandlim import AnalyticSignal, Kernel, WeightSpec, inverse_weight_eval, matched_weights
+from bandlim import (AnalyticSignal, DensityGrid, Kernel, WeightSpec, inverse_weight_eval,
+                     matched_weights, psi_closed_form)
 from bandlim import _lapack, _parallel, interpolate
 
 BANDWIDTH = 1.0
@@ -103,6 +104,31 @@ def dense_gram(gram):
     """The full Gram matrix R = psi((m - n) T) of a `GramMatrix`, as a test
     reference: the symmetric Toeplitz matrix of its first row."""
     return toeplitz(gram.first_row)
+
+
+def dense_kernel_matrix(kernel, t, T, N):
+    return psi_closed_form(kernel, t[..., None] - np.arange(-N, N + 1) * T)
+
+
+def dense_power_sq(kernel, R, dense, tol):
+    """The second-order P^2 = psi0 - 2 u.v + u.R u, u = R^{-1} v, from the full
+    R and the dense kernel matrix (last axis over n), clamped at 0 and
+    flattened, with its tolerance: P^2 is perturbed by -2 u.dv to first order
+    in the kernel row v and by rounding of the same order in the quadratic
+    terms, so ``tol`` (of one kernel entry) is scaled by max (1 + |u|_1)^2."""
+    v = dense.reshape(-1, R.shape[0]).T
+    u = dense_solve(R, v, assume_a="pos")
+    p2 = kernel.psi0 - 2.0 * np.sum(u * v, axis=0) + np.sum(u * (R @ u), axis=0)
+    u1 = np.sum(np.abs(u), axis=0)
+    return np.maximum(p2, 0.0), tol * np.max((1.0 + u1) ** 2)
+
+
+def grid_kernel(seed, B):
+    """A tabulated-density kernel at bandwidth B: 12 seeded nodes over
+    +-1.1 times the band, with values in [0.1, 3)."""
+    rng = np.random.default_rng(seed)
+    omegas = np.unique(rng.uniform(-1.1, 1.1, 12)) * 2.0 * np.pi * B
+    return Kernel.from_grid(B, DensityGrid(omegas, rng.uniform(0.1, 3.0, omegas.size)))
 
 
 @contextmanager

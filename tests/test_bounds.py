@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from unittest.mock import patch
 
 import numpy as np
@@ -5,15 +6,15 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from bandlim import (AnalyticSignal, InfeasibleBallError, Kernel, SampleSet,
-                     build_gram, evaluate, eval_signal, minimax_worstcase,
+from bandlim import (AnalyticSignal, InfeasibleBallError, Kernel, NotPositiveDefiniteError,
+                     SampleSet, build_gram, evaluate, eval_signal, minimax_worstcase,
                      power_function, psi_closed_form, sample_signal,
                      sinc_partition_check, solve, weighted_pointwise_bound,
                      wnorm_sq)
 from bandlim import _lapack
 from bandlim.interpolate import _cardinal_values, _kernel_matrix
-from conftest import (classical_bound, flat_gram_reference, lattice_tolerance,
-                      random_weight_spec)
+from conftest import (classical_bound, dense_gram, dense_kernel_matrix, dense_power_sq,
+                      flat_gram_reference, grid_kernel, lattice_tolerance, random_weight_spec)
 
 B = 1.0
 EPS = np.finfo(float).eps
@@ -67,6 +68,7 @@ class TestPowerFunction:
         np.testing.assert_array_equal(power_function(gram, grid),
                                       power_function(gram, t).reshape(2, 3))
         assert power_function(gram, 0.25).shape == (1,)
+        assert power_function(gram, []).shape == (0,)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_times_rejected(self, lowpass_kernel, bad):
@@ -98,24 +100,96 @@ class TestPowerFunction:
             previous = p2
 
 
-def test_second_stage_solves_only_the_node_rows(lowpass_kernel):
-    # A dense_grid-shaped lattice: N = 60 and step T/40 over [-8.5, 8.5], so
-    # 341 distinct |t|, 9 of them nodes. Each half solves all 341 rows by L^T
-    # (the Schur form) and only the node rows, where P^2 falls below the
-    # gate, by L as well (the second-order form).
-    T, N = 1.0 / B, 60
-    gram = build_gram(lowpass_kernel, T, N)
-    t = np.arange(-340, 341) * (T / 40)
+@contextmanager
+def counted_solves():
+    """Record (trans, rows) of each `_lapack.dtrsm` call."""
     solved = []
+    dtrsm = _lapack.dtrsm
 
     def counting(chol, b, trans):
         solved.append((int(trans), b.shape[0]))
         dtrsm(chol, b, trans)
 
-    dtrsm = _lapack.dtrsm
     with patch.object(_lapack, "dtrsm", counting):
+        yield solved
+
+
+def test_node_rows_reach_neither_stage(lowpass_kernel):
+    # A dense_grid-shaped lattice: N = 60 and step T/40 over [-8.5, 8.5], so
+    # 341 distinct |t|, 9 of them nodes. Each half solves the 332 others by
+    # L^T (the Schur form); none of them is near enough to a node to fall
+    # below the gate, so no row is solved by L (the second-order form).
+    T, N = 1.0 / B, 60
+    gram = build_gram(lowpass_kernel, T, N)
+    t = np.arange(-340, 341) * (T / 40)
+    with counted_solves() as solved:
         power_function(gram, t)
-    assert sorted(solved) == [(0, 9), (0, 9), (1, 341), (1, 341)]
+    assert sorted(solved) == [(1, 332), (1, 332)]
+
+
+# Kernels and T 2B for the node rule: a spec kernel, the flat kernel at and
+# below the critical sampling rate, and a tabulated-density kernel
+NODE_KERNELS = {
+    "spec": (Kernel.from_spec(random_weight_spec(3)), 1.2),
+    "flat-critical": (Kernel.uniform(B), 1.0),
+    "flat-below-critical": (Kernel.uniform(B), 1.5),
+    "grid": (grid_kernel(5, B), 1.2),
+}
+
+
+def node_gram(name, N=12):
+    kernel, ratio = NODE_KERNELS[name]
+    return build_gram(kernel, ratio / (2.0 * kernel.bandwidth_B), N)
+
+
+@pytest.mark.parametrize("name", sorted(NODE_KERNELS))
+def test_power_is_bitwise_zero_at_every_node(name):
+    gram = node_gram(name)
+    nodes, T = gram.times, gram.spacing_T
+    off = np.random.default_rng(2).uniform(-12.5, 12.5, 20) * T
+    p = power_function(gram, np.concatenate([off, nodes]))
+    assert p[off.size:].tobytes() == np.zeros(nodes.size).tobytes()
+    assert np.all(p[:off.size] > 0.0)
+    grid = nodes.reshape(5, 5)
+    assert power_function(gram, grid).tobytes() == np.zeros((5, 5)).tobytes()
+
+
+def test_bound_is_zero_at_the_nodes(lowpass_kernel, lowfreq_signal):
+    interp, _ = make_interp(lowpass_kernel, lowfreq_signal, 1.0 / B, 8)
+    D = 2.0 * np.sqrt(wnorm_sq(interp))
+    t = np.linspace(-8, 8, 161)
+    at = np.isin(t, interp.gram.times)
+    assert np.count_nonzero(at) == 17
+    report = weighted_pointwise_bound(interp, D, t)
+    assert report.bound_values[at].tobytes() == np.zeros(17).tobytes()
+    assert np.all(report.bound_values[~at] > 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(NODE_KERNELS))
+def test_one_ulp_from_a_node_takes_the_second_order_form(name):
+    # np.nextafter moves each node one ulp away from 0 (0 itself to the
+    # smallest subnormal); no such point is a node, and each falls below the
+    # gate, so each half solves every row by L^T and then by L
+    gram = node_gram(name)
+    kernel, T, N = gram.kernel, gram.spacing_T, gram.half_count_N
+    nodes = gram.times[N:]
+    t = np.nextafter(nodes, np.inf)
+    with counted_solves() as solved:
+        p = power_function(gram, t)
+    assert sorted(solved) == [(0, N + 1), (0, N + 1), (1, N + 1), (1, N + 1)]
+    p2, atol = dense_power_sq(kernel, dense_gram(gram), dense_kernel_matrix(kernel, t, T, N),
+                              lattice_tolerance(kernel, t, T, N))
+    np.testing.assert_allclose(p ** 2, p2, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("shape", [(31,), (1, 31)])
+def test_unfactored_gram_raises_at_the_nodes(shape):
+    # heavy oversampling drives the flat kernel's eigenvalues below machine
+    # zero; P at the nodes needs no factor, but the Gram is checked first
+    gram = build_gram(Kernel.uniform(B), 0.3 / (2 * B), 15)
+    assert gram.cholesky is None
+    with pytest.raises(NotPositiveDefiniteError):
+        power_function(gram, gram.times.reshape(shape))
 
 
 @st.composite

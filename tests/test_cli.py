@@ -218,6 +218,11 @@ class TestBoundsCommand:
     ("bounds", {"ball_radius": -6.0}),
     ("compare", {"ridge_sigma2": float("nan")}),
     ("kernel", {"weights": {"matched": True}}),
+    *[("fit", {"fit": {"density_csv": "density.csv", "floor_alpha": bad}})
+      for bad in (True, "1e-6", None)],
+    *[("fit", {"fit": {"density_csv": "density.csv",
+                       "transform": {"kind": "power", "p": 3.0, "eps": 1e-6, key: bad}}})
+      for key in ("p", "eps") for bad in (True, "1e-6", None)],
 ])
 def test_invalid_values_are_config_errors(tmp_path, capsys, command, overrides):
     om = np.linspace(-2 * np.pi, 2 * np.pi, 201)

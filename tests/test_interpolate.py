@@ -8,15 +8,15 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.linalg import solve as dense_solve, toeplitz
 
 import bandlim.interpolate as interpolate_module
-from bandlim import (DensityGrid, Kernel, NotPositiveDefiniteError, PSDModel, SampleSet,
+from bandlim import (Kernel, NotPositiveDefiniteError, PSDModel, SampleSet,
                      adaptive_simpson, build_gram, cardinal, cardinal_coeffs,
                      evaluate, inverse_weight_eval, power_function,
                      psi_closed_form, sample_signal, shannon_kernel, solve,
                      squared_errors, truncated_shannon, wnorm_sq)
 from bandlim.interpolate import (_cardinal_values, _fill_half, _fold, _kernel_matrix,
                                  _unfold)
-from conftest import (TOL_ULPS, dense_gram, grid_kernel_reference, lattice_tolerance,
-                      random_weight_spec)
+from conftest import (TOL_ULPS, dense_gram, dense_kernel_matrix, dense_power_sq, grid_kernel,
+                      grid_kernel_reference, lattice_tolerance, random_weight_spec)
 
 B = 1.0
 
@@ -379,10 +379,6 @@ class TestRidge:
 # is checked to `conftest.lattice_tolerance`.
 
 
-def dense_kernel_matrix(kernel, t, T, N):
-    return psi_closed_form(kernel, t[..., None] - np.arange(-N, N + 1) * T)
-
-
 @contextmanager
 def counted_psi():
     """Count the psi entries `_kernel_matrix` evaluates."""
@@ -394,14 +390,6 @@ def counted_psi():
 
     with patch.object(interpolate_module, "psi_closed_form", counting):
         yield counts
-
-
-def grid_kernel(seed, B):
-    """A tabulated-density kernel at bandwidth B: 12 seeded nodes over
-    +-1.1 times the band, with values in [0.1, 3)."""
-    rng = np.random.default_rng(seed)
-    omegas = np.unique(rng.uniform(-1.1, 1.1, 12)) * 2.0 * np.pi * B
-    return Kernel.from_grid(B, DensityGrid(omegas, rng.uniform(0.1, 3.0, omegas.size)))
 
 
 @st.composite
@@ -677,19 +665,6 @@ def test_power_function_at_split_size_matches_dense_form(lowpass_kernel):
     p2, atol = dense_power_sq(lowpass_kernel, dense_gram(gram), dense,
                               lattice_tolerance(lowpass_kernel, t, T, N))
     np.testing.assert_allclose(power_function(gram, t) ** 2, p2, rtol=0, atol=atol)
-
-
-def dense_power_sq(kernel, R, dense, tol):
-    """The second-order P^2 = psi0 - 2 u.v + u.R u, u = R^{-1} v, from the full
-    R and the dense kernel matrix (last axis over n), clamped at 0 and
-    flattened, with its tolerance: P^2 is perturbed by -2 u.dv to first order
-    in the kernel row v and by rounding of the same order in the quadratic
-    terms, so ``tol`` (of one kernel entry) is scaled by max (1 + |u|_1)^2."""
-    v = dense.reshape(-1, R.shape[0]).T
-    u = dense_solve(R, v, assume_a="pos")
-    p2 = kernel.psi0 - 2.0 * np.sum(u * v, axis=0) + np.sum(u * (R @ u), axis=0)
-    u1 = np.sum(np.abs(u), axis=0)
-    return np.maximum(p2, 0.0), tol * np.max((1.0 + u1) ** 2)
 
 
 @st.composite

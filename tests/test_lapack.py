@@ -72,10 +72,12 @@ def test_bindings_reject_arrays_they_cannot_pass():
 
 
 def _lattice_case():
-    # N = 150 with T 2B = 1.2, and a grid of step T/16 that holds every node,
-    # so that power_function takes its second stage too
+    # N = 150 with T 2B = 1.2, a grid of step T/16 whose 76 distinct node
+    # times |t| = 0..75 T power_function sets to 0, and three nodes nudged by
+    # two ulps, which take its second stage
     T, N = 1.2 / (2.0 * B), 150
-    t = np.arange(-1200, 1201) * (T / 16)
+    near = np.array([1, -40, 75]) * T
+    t = np.concatenate([np.arange(-1200, 1201) * (T / 16), near + 2 * np.spacing(near)])
     samples = SampleSet(T, np.cos(0.7 * np.arange(-N, N + 1)))
     return T, N, t, samples
 
@@ -132,8 +134,8 @@ def test_large_halves_split_at_the_default_threshold(lowpass_kernel):
     gram = build_gram(lowpass_kernel, T, N)
     with split_cpus(2, 1) as started:
         power_function(gram, t)
-    # the first stage, 1201 distinct |t| by 150^2 flops, is past
-    # _MIN_SPLIT_FLOPS; the second, on the 76 distinct |t| at nodes, is not
+    # the first stage, 1128 distinct |t| by 150^2 flops, is past
+    # _MIN_SPLIT_FLOPS; the second, on the 3 nudged nodes, is not
     assert len(started) == 1
 
 
@@ -184,7 +186,8 @@ def test_worker_failure_is_raised_after_the_join(lowpass_kernel, capfd):
         power_function(gram, t)
     assert len(started) == 1
     assert not started[0].is_alive()
-    assert finished == [(t.size // 2 + 1, N + 1)]
+    # the 1125 distinct |t| of the grid off the nodes and the 3 nudged nodes
+    assert finished == [(1128, N + 1)]
     assert threading.active_count() == before
     assert escaped == []
     assert capfd.readouterr().err == ""
