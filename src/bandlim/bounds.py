@@ -24,7 +24,8 @@ import numpy as np
 
 from . import _lapack
 from ._parallel import run_halves
-from .interpolate import _kernel_halves, truncated_shannon, wnorm_sq
+from .interpolate import _fold, _kernel_halves, truncated_shannon, wnorm_sq
+from .kernel import _check_times
 
 POWER_CLAMP = 1e-12
 # Below this multiple of max(1, |psi0|) the Schur P^2 is finished in the
@@ -74,19 +75,19 @@ class MinimaxAdversary:
 def power_function(gram, t):
     """Power function P(t) >= 0 of the Gram system, zero at the nodes.
 
-    The kernel is even and the nodes are symmetric about 0, so P(-t) = P(t):
-    P is evaluated once per distinct |t| and then spread back. A |t| that is
-    bitwise a node time m T (m = rint(|t|/T) <= N, the product that
-    `GramMatrix.times` forms) takes P = 0, its true value, with no kernel
-    values and no solve; the others go to `_power_sq`. A Gram that does not
-    factor raises first, even when every point is a node. The result has
-    the shape of ``t`` (at least 1-d).
+    P(-t) = P(t), as the kernel is even and the nodes are symmetric about 0,
+    so P is evaluated once per distinct |t|. A |t| that is bitwise a node time
+    m T (m = rint(|t|/T) <= N, as `GramMatrix.times` forms it) takes P = 0,
+    its true value, with no kernel values and no solve; the others go to
+    `_power_sq`. A Gram that does not factor raises first, even when every
+    point is a node. The result has the shape of ``t`` (at least 1-d).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     gram.factor()
     s, back = np.unique(np.abs(t.ravel()), return_inverse=True)
     N, T = gram.half_count_N, gram.spacing_T
-    m = np.rint(s / T)
+    # past (N + 1) T no |t| is a node, and a huge one would overflow |t|/T
+    m = np.rint(np.minimum(s, (N + 1) * T) / T)
     off = np.flatnonzero((m > N) | (m * T != s))
     p2 = np.zeros(s.size)
     if off.size:
@@ -97,49 +98,53 @@ def power_function(gram, t):
 def _power_sq(gram, s):
     """P^2 >= 0 at the points ``s`` off the nodes.
 
-    The kernel values v[:, j] = psi(s_j - nT) are folded into the even and
-    odd halves E, O of R, v = (v+, v-), and each half is solved in two
-    stages of BLAS ``dtrsm`` (`interpolate._kernel_halves`).
-    The first stage is one triangular solve per half, w = v L^{-T} for a
-    block L L^T, and gives the Schur form ``P^2 = psi0 - |w+|^2 - |w-|^2``
-    (the LMMSE error variance psi0 - v.R^{-1} v). Near the nodes that form
-    cancels to roundoff of psi0, which sqrt lifts to sqrt(eps psi0); so every
-    point whose Schur P^2 falls below sqrt(eps) max(1, |psi0|) is finished
-    by the second stage, the cardinal values a = E^{-1} v+ and
-    b = O^{-1} v-, and takes the second-order form
-    ``psi0 - 2 (a.v+ + b.v-) + a.E a + b.O b`` instead, which is
-    ``psi0 - 2 u.v + u.R u`` in the orthonormal fold and whose terms cancel
-    at the nodes. The first stage with its row sums, and the second stage,
-    each take the two halves through `run_halves`, the odd one in a worker
-    thread when it is large enough.
+    The kernel rows v = psi(s_j - nT) come folded into the halves E, O of R,
+    v = (v+, v-), a block of rows at a time (`interpolate._kernel_halves`).
+    The first stage, w = v L^{-T} for each half L L^T, gives the Schur form
+    ``P^2 = psi0 - |w+|^2 - |w-|^2`` (the LMMSE error variance). Near the
+    nodes it cancels to roundoff of psi0, which sqrt lifts to sqrt(eps psi0),
+    so the points whose Schur P^2 is below sqrt(eps) max(1, |psi0|) keep their
+    rows, and after the walk those of all blocks are finished together, as one
+    block would finish them, by a = E^{-1} v+ and b = O^{-1} v- in the
+    second-order form ``psi0 - 2 (a.v+ + b.v-) + a.E a + b.O b``, whose terms
+    cancel at the nodes. Each stage takes the halves through `run_halves`, and
+    the roundoff floor is checked once, on every point.
     """
-    halves = _kernel_halves(gram, s)
     psi0 = gram.kernel.psi0
     N = gram.half_count_N
-    schur = [np.empty(s.size) for _ in halves]
+    chol = gram.factor()
+    p2 = np.empty(s.size)
+    near, kept = [], []
+    for start, stop, rows, halves in _kernel_halves(gram, s):
+        schur = [np.empty(stop - start) for _ in halves]
 
-    def whiten(h):
-        _, chol, _, w = halves[h]
-        _lapack.dtrsm(chol, w, trans=True)
-        np.einsum("ij,ij->i", w, w, out=schur[h])
+        def whiten(h):
+            _lapack.dtrsm(chol[h], halves[h], trans=True)
+            np.einsum("ij,ij->i", halves[h], halves[h], out=schur[h])
 
-    run_halves(whiten, s.size * N ** 2)
-    p2 = psi0 - sum(schur)
-    near = np.flatnonzero(p2 < _SECOND_ORDER_BELOW * max(1.0, abs(psi0)))
+        run_halves(whiten, (stop - start) * N ** 2)
+        p2[start:stop] = psi0 - sum(schur)
+        close = np.flatnonzero(p2[start:stop] < _SECOND_ORDER_BELOW * max(1.0, abs(psi0)))
+        near.append(start + close)
+        kept.append((rows[close], *(w[close] for w in halves)))
+        del rows, halves
+    near = np.concatenate(near)
     if near.size:
-        rows = [(v[near], np.asfortranarray(w[near])) for _, _, v, w in halves]
+        # the kept kernel rows, folded again, beside their first stage
+        kept_v, *kept_w = (np.concatenate(part) for part in zip(*kept))
+        rows = [(np.ascontiguousarray(v.T), np.asfortranarray(w))
+                for v, w in zip(_fold(kept_v.T), kept_w)]
         dots = [np.empty((2, near.size)) for _ in rows]
 
         def cardinal_rows(h):
-            _, chol, _, _ = halves[h]
             v, a = rows[h]
-            _lapack.dtrsm(chol, a, trans=False)
+            _lapack.dtrsm(chol[h], a, trans=False)
             np.einsum("ij,ij->i", a, v, out=dots[h][0])
 
         run_halves(cardinal_rows, near.size * N ** 2)
         # numpy's matmul runs on a BLAS of its own, kept to the caller: a
         # second concurrent caller would make it keep a second work buffer
-        for (block, _, _, _), (_, a), dot in zip(halves, rows, dots):
+        for block, (_, a), dot in zip(gram.blocks, rows, dots):
             np.einsum("ij,ij->i", a, a @ block, out=dot[1])
         (av, a_e_a), (bv, b_o_b) = dots
         p2[near] = psi0 - 2.0 * (av + bv) + a_e_a + b_o_b
@@ -187,15 +192,14 @@ def minimax_worstcase(samples, E, t, tail_range=10_000, phase=0.0):
     The adversary spends the leftover energy budget C on tail samples
     (|n| > N, truncated at ``tail_range``) shaped by matched filtering
     against the sinc values at ``t``. Its attained error equals the
-    truncated analytic bound and is invariant to the free phase. A NaN or
-    infinite ``t`` raises `ValueError`.
+    truncated analytic bound and is invariant to the free phase. A NaN,
+    infinite or overflowing ``t`` raises `ValueError`.
     """
-    if not np.isfinite(t):
-        raise ValueError("evaluation times must be finite")
     N = samples.half_count_N
     if tail_range <= N:
         raise ValueError(f"tail_range must exceed N = {N}, got {tail_range}")
     T = samples.spacing_T
+    _check_times(t, np.pi / T, tail_range * T)
     constant = _energy_constant(samples, E)
     side = np.arange(N + 1, int(tail_range) + 1)
     indices = np.concatenate([-side[::-1], side])

@@ -16,52 +16,39 @@ straight from the generator r_k = psi(kT) (`_fill_half`), and every system is
 solved by folding its right-hand side into these coordinates (`_fold`),
 solving in each half and unfolding: a quarter of the Cholesky work of R and
 half of each solve. The weighted norm c^T R c is the sum of the same
-quadratic form over the two halves of the folded c. The kernel values
-psi(t - nT) for the cardinals and the power function, one row per
-evaluation point, are solved from the right in two stages by the Cholesky
-factor L of each half (`_kernel_halves`): the first gives w = v L^{-T},
-whose squared row norms, summed over the halves, are the Schur term
-v R^{-1} v of the power function, and the second the cardinal values
-u = w L^{-1}. `_cardinal_values` takes both stages on every row;
-`bounds.power_function` takes the second only on the rows near the nodes.
+quadratic form over the two halves of the folded c.
 
-The two halves are independent, so `build_gram` fills and factors each
-half (`_factor_halves`), `solve` and `cardinal_coeffs` solve each half
-(`_solve_halves`), and the stages of `bounds.power_function` solve each
-half, the even one in the caller and the odd one in a worker thread at the
-same time (`_parallel.run_halves`), when the work is large enough, the
-process may use two CPUs and the BLAS runs one thread. The factor of a half
-starts from a Fortran-ordered copy of its block made by one memcpy of the
-transpose, which the exact symmetry of the block makes the block itself.
-Each half's arithmetic, and the order in which the halves are combined, are
-the same either way, so the results are bitwise those of one thread. The
-LAPACK and BLAS calls go through `_lapack`, ctypes bindings that release the
-GIL: scipy's wrappers hold it. On a 2-core host with the BLAS on one thread,
-at N = 1000 (a 1000 x 1000 block, 341 rows), two scipy ``dtrsm`` calls took
-8.3 ms one after the other and 8.4 ms in two threads, and two ``cho_factor``
-calls 10.7 and 8.9 ms; through `_lapack`, ``dtrsm`` went from 8.3 to 4.2 ms
-and ``dpotrf`` from 9.0 to 4.9 ms. A solve with one right-hand side reads
-its factor for two flops an entry, so `_solve_halves` has a gate of its own
-in factor entries (`_MIN_SPLIT_SOLVE`, N = 400). The other solves stay in
-the caller: those of `_cardinal_values` (one point per call, from
-`stochastic`) and the quadratic forms of `wnorm_sq` would reach the split's
-size only from N = 1225, past every benchmarked shape. The psi runs of the
-kernel values split over two CPUs inside `psi_closed_form` when they are
-long enough.
+The two halves are independent, so `build_gram` fills and factors each half
+(`_factor_halves`), `solve` and `cardinal_coeffs` solve each half
+(`_solve_halves`), and the stages of `bounds.power_function` solve each half,
+the odd one in a worker thread (`_parallel.run_halves`) when the work is large
+enough, the process may use two CPUs and the BLAS runs one thread. Each half's
+arithmetic, and the order in which the halves are combined, are the same either
+way, so the results are bitwise those of one thread. The factor of a half
+starts from a Fortran-ordered copy of its block, one memcpy of the transpose,
+which the exact symmetry of the block makes the block itself. The LAPACK and
+BLAS calls go through `_lapack`, ctypes bindings that release the GIL, which
+scipy's wrappers hold. The solves of `_cardinal_values` and the quadratic forms
+of `wnorm_sq` stay in the caller.
 
-The interpolant, its cardinals and the power function all read the kernel
-values psi(t_j - nT) through `_lattice_rows`. It groups the points by
-residue of t mod T, one run of psi per group, and pairs the residues r and
-T - r (psi is even), so a grid symmetric about 0 evaluates about half the
-runs; each row of the kernel matrix is then a window of a run. The power
-function and the cardinal values take the whole matrix (`_kernel_matrix`),
-but `evaluate` and `cardinal` need only its product with one vector, which
-`_kernel_product` forms a block of rows at a time, so the matrix (11 MB at
-N = 1000 on 681 points) never exists. Its blocks come in multiples of 128
-rows and the last block of each product takes the remainder, so with the
-BLAS on one thread the product was bitwise that of the whole matrix on
-every shape tried; a multi-threaded BLAS, which spreads a large product
-over its threads but not the smaller blocks, can round a row otherwise.
+Every reader of the kernel rows psi(t_j - nT), n = -N..N, one row per point,
+takes them from one walk, `_kernel_rows`, a block of rows at a time, so the
+kernel matrix of all the points never exists. The walk checks the times once
+and lays out the rows once for all the points: `_lattice_rows` groups the
+points by residue of t mod T, one run of psi per group, and pairs the residues
+r and T - r (psi is even), so each row is a window of a run and a grid
+symmetric about 0 evaluates about half the runs; points that share no residue
+take direct psi rows. `evaluate` and `cardinal` need only the product of the
+rows with one vector (`_kernel_product`), in blocks of about 2^16 entries. The
+cardinals and the power function fold each block of ``_BLOCK_ROWS`` rows into
+the halves and solve it in place from the right by the Cholesky factor L of
+each half (`_kernel_halves`): first w = v L^{-T}, whose squared row norms,
+summed over the halves, are the Schur term v R^{-1} v of the power function,
+then the cardinal values u = w L^{-1}. `_cardinal_values` takes both stages on
+every row, `bounds.power_function` the second only on the rows near the nodes.
+Each block is dropped before the next is made, so malloc hands its memory to
+the next block instead of new pages, and the memory of a walk is a few blocks
+whatever the points.
 """
 
 from dataclasses import dataclass
@@ -72,24 +59,26 @@ from scipy.linalg.lapack import dpocon
 
 from . import _lapack
 from ._parallel import run_halves
-from .kernel import psi_closed_form, shannon_kernel
+from .kernel import _check_times, psi_closed_form, shannon_kernel
 
 _SQRT_HALF = np.sqrt(0.5)
-# Entries of the kernel-matrix block of `_kernel_product`, and the multiple
-# of rows it comes in. On a 2-core host with the BLAS on one thread, the
-# product of N = 200 on 4001 lattice points took 0.72 ms in blocks of 2^15
-# to 2^17 entries against 1.04 ms in one piece, and blocks of 2^14 0.80 ms;
-# at N = 1000 on 681 points every size took 1.94 to 2.13 ms. Blocks of 64
-# rows or fewer were not always bitwise the whole product (OpenBLAS dgemv
-# groups its rows), and in 60 random shapes 128 always was.
+# Entries of a `_kernel_product` block, and the multiple of rows it comes in.
+# On a 2-core host with the BLAS on one thread, N = 200 on 4001 points took
+# 0.72 ms in blocks of 2^15 to 2^17 entries against 1.04 ms in one piece. As
+# OpenBLAS dgemv groups rows, 128-row multiples keep the product bitwise.
 _PRODUCT_ENTRIES = 1 << 16
 _PRODUCT_ALIGN = 128
+# Rows per block of `_cardinal_values` and `bounds._power_sq`: each block
+# reads the whole factor of each half again, so a block is a count of rows.
+# On a 2-core host with the BLAS on one thread, `power_function` at N = 200
+# took 2.95-3.16 ms on 4001 points against 3.5-3.7 ms in blocks of 128 rows,
+# and 0.17-0.20 s on 160,001 points against 0.29-0.32 s in one block. Blocks
+# start at multiples of it, and P was bitwise that of one block.
+_BLOCK_ROWS = 1024
 # Entries of the odd half's factor at least, for `_solve_halves` to solve the
-# halves of one right-hand side on two CPUs. Such a solve reads its factor
-# for two flops an entry, so it gains from a second core at far fewer flops
-# than `_parallel._MIN_SPLIT_FLOPS`. On a 2-core host with the BLAS on one
-# thread, split against inline: N = 300 took 75 against 70 us, N = 400 101
-# against 109 us, N = 500 121 against 149 us and N = 1000 407 against 547 us.
+# halves of one right-hand side on two CPUs: it reads its factor for two flops
+# an entry. On a 2-core host with the BLAS on one thread, split against inline,
+# N = 300 took 75 against 70 us, N = 400 101 against 109 us.
 _MIN_SPLIT_SOLVE = 400 ** 2
 
 
@@ -286,32 +275,27 @@ def _cardinal_values(gram, t):
     """Cardinal values u = R^{-1} v of the kernel values v = psi(t - nT), with
     shape (2N+1,) + t.shape: both stages of every row, in each half."""
     t = np.asarray(t, dtype=float)
-    halves = _kernel_halves(gram, t.ravel())
-    for _, chol, _, u in halves:
-        _lapack.dtrsm(chol, u, trans=True)
-        _lapack.dtrsm(chol, u, trans=False)
-    return _unfold(*(u.T for _, _, _, u in halves)).reshape((gram.size,) + t.shape)
+    chol = gram.factor()
+    u = np.empty((gram.size, t.size))
+    for start, stop, _, halves in _kernel_halves(gram, t.ravel()):
+        for w, factor in zip(halves, chol):
+            _lapack.dtrsm(factor, w, trans=True)
+            _lapack.dtrsm(factor, w, trans=False)
+        u[:, start:stop] = _unfold(*(w.T for w in halves))
+        del halves, w
+    return u.reshape((gram.size,) + t.shape)
 
 
-def _kernel_halves(gram, t):
-    """The kernel values at 1-d ``t`` in each half, ready for the two stages:
-    (block, L, v, w) for the even and the odd half, with block = L L^T.
-
-    v = psi(t - nT) in the coordinates of `_fold`, one row per point, and w
-    a Fortran-ordered copy of it for the stages to overwrite, each a
-    triangular solve from the right (`_lapack.dtrsm`, which timed faster
-    than LAPACK's left-side ``potrs`` on the transpose): the first
-    w = v L^{-T}, after which ``w.w`` is ``v block^{-1} v`` row by row (the
-    Schur term of the power function), and the second the cardinal rows
-    u = w L^{-1} = v block^{-1}. The factor comes first: a Gram that does
-    not factor raises before any psi.
-    """
-    halves = gram.factor()
-    # the kernel matrix is dropped before the copies are made
-    parts = [part.T for part in
-             _fold(_kernel_matrix(gram.kernel, t, gram.spacing_T, gram.half_count_N).T)]
-    return [(block, chol, part, np.array(part, order="F"))
-            for block, chol, part in zip(gram.blocks, halves, parts)]
+def _kernel_halves(gram, flat):
+    """Yield ``(start, stop, rows, halves)`` per block of ``_BLOCK_ROWS``
+    points of ``flat``: the kernel rows and, per half, their Fortran-ordered
+    coordinates in the basis of `_fold`, for the stages to overwrite. The
+    caller factors the Gram first. A last block of one row joins the one
+    before: ``einsum`` sums the squares of a lone row in another order."""
+    cuts = [*range(0, max(flat.size - 1, 1), _BLOCK_ROWS), flat.size]
+    for start, stop, rows in _kernel_rows(gram, flat, cuts):
+        yield start, stop, rows, [v.T for v in _fold(rows.T)]
+        del rows
 
 
 def _fill_half(r, h, block):
@@ -361,14 +345,15 @@ def _factor_halves(blocks, fill=None):
 
 def _fold(x):
     """Coordinates of x (axis 0 over n = -N..N) in the even and odd bases:
-    x_0 and (x_j + x_-j)/sqrt2, and (x_j - x_-j)/sqrt2, for j = 1..N."""
+    x_0 and (x_j + x_-j)/sqrt2, and (x_j - x_-j)/sqrt2, for j = 1..N, both
+    C-ordered: the parts of a block of rows, transposed back, are Fortran."""
     N = x.shape[0] // 2
     up, down = x[N + 1:], x[:N][::-1]
     even = np.empty((N + 1,) + x.shape[1:], dtype=x.dtype)
     even[0] = x[N]
     np.add(up, down, out=even[1:])
     even[1:] *= _SQRT_HALF
-    odd = up - down
+    odd = np.subtract(up, down, out=np.empty_like(even[1:]))
     odd *= _SQRT_HALF
     return even, odd
 
@@ -395,8 +380,46 @@ def _solve_halves(halves, x):
     return _unfold(*parts)
 
 
-def _kernel_matrix(kernel, t, T, N):
-    """psi(t_j - nT) for n = -N..N, with shape ``t.shape + (2N+1,)``.
+def _kernel_rows(gram, flat, cuts):
+    """Yield ``(start, stop, rows)`` for each consecutive pair of ``cuts``,
+    with ``rows`` the C-ordered kernel rows psi(flat[j] - nT), n = -N..N, of
+    the 1-d ``flat`` from start to stop: windows of the lattice runs of
+    `_lattice_rows` for all of ``flat``, or direct psi rows. A NaN, infinite
+    or overflowing time raises `ValueError` first (`kernel._check_times`). A
+    caller drops each block before the next, so malloc reuses its memory."""
+    kernel, T, N = gram.kernel, gram.spacing_T, gram.half_count_N
+    # psi's top frequency 2 pi B, or the 1/T of the residues t mod T
+    _check_times(flat, max(2.0 * np.pi * kernel.bandwidth_B, np.pi / T), N * T)
+    windows, index = _lattice_rows(kernel, flat, T, N) or (None, None)
+    nodes = np.arange(-N, N + 1) * T
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        yield start, stop, (windows[index[start:stop]] if windows is not None
+                            else psi_closed_form(kernel, flat[start:stop, None] - nodes))
+
+
+def _kernel_product(gram, t, c):
+    """sum_n c_n psi(t - nT) over the nodes of ``gram``, with the shape of
+    ``t``, a block of kernel rows at a time (about ``_PRODUCT_ENTRIES``
+    entries, in whole multiples of ``_PRODUCT_ALIGN`` rows)."""
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    out = np.empty(flat.size)
+    # one product per row along the last axis of t, as matmul takes a stack;
+    # the last block of a row takes its remainder, so that no block is a
+    # short product of its own
+    length = max(1, t.shape[-1] if t.ndim else 1)
+    step = _PRODUCT_ALIGN * max(1, _PRODUCT_ENTRIES // (gram.size * _PRODUCT_ALIGN))
+    count = max(1, length // step)
+    cuts = [first + k * step for first in range(0, flat.size, length) for k in range(count)]
+    for start, stop, rows in _kernel_rows(gram, flat, cuts + [flat.size]):
+        np.matmul(rows, c, out=out[start:stop])
+        del rows
+    return out.reshape(t.shape)[()]
+
+
+def _lattice_rows(kernel, flat, T, N):
+    """The kernel rows of the finite 1-d ``flat`` as windows of runs of psi,
+    ``(windows, rows)`` with row j in ``windows[rows[j]]``, or None.
 
     Every t_j is split as m_j T + r_j with m_j = floor(t_j / T), so that
     t_j - nT = r_j + (m_j - n) T. psi is even, so a point with r_j > T/2 is
@@ -410,58 +433,9 @@ def _kernel_matrix(kernel, t, T, N):
     about 0 the residues r and T - r share one run. A class whose flipped
     and unflipped points have m-ranges more than 2N + 1 apart keeps two
     runs, as one run spanning both would be longer. When the runs would hold
-    as many values as the matrix itself (no two points share a residue, as
-    for random points), the matrix is evaluated entry by entry. A NaN or
-    infinite time raises `ValueError` before any psi is evaluated.
-    """
-    t = np.asarray(t, dtype=float)
-    lattice = _lattice_rows(kernel, t.ravel(), T, N)
-    if lattice is None:
-        return psi_closed_form(kernel, t[..., None] - np.arange(-N, N + 1) * T)
-    windows, rows = lattice
-    return windows[rows].reshape(t.shape + (2 * N + 1,))
-
-
-def _kernel_product(gram, t, c):
-    """``_kernel_matrix(...) @ c`` for the nodes of ``gram``, with the shape
-    of ``t``, formed a block of rows of the matrix at a time (about
-    ``_PRODUCT_ENTRIES`` entries, in whole multiples of ``_PRODUCT_ALIGN``
-    rows): the windows of the lattice runs or the direct psi rows, so that
-    the matrix itself never exists."""
-    kernel, T, N = gram.kernel, gram.spacing_T, gram.half_count_N
-    t = np.asarray(t, dtype=float)
-    flat = t.ravel()
-    lattice = _lattice_rows(kernel, flat, T, N)
-    nodes = np.arange(-N, N + 1) * T
-    out = np.empty(flat.size)
-    # one product per row along the last axis of t, as matmul takes a stack;
-    # the last block of a row takes its remainder, so that no block is a
-    # short product of its own
-    length = t.shape[-1] if t.ndim else 1
-    step = _PRODUCT_ALIGN * max(1, _PRODUCT_ENTRIES // (nodes.size * _PRODUCT_ALIGN))
-    count = max(1, length // step)
-    for first in range(0, flat.size, max(1, length)):
-        for k in range(count):
-            start = first + k * step
-            stop = start + step if k + 1 < count else first + length
-            if lattice is None:
-                block = psi_closed_form(kernel, flat[start:stop, None] - nodes)
-            else:
-                windows, rows = lattice
-                block = windows[rows[start:stop]]
-            np.matmul(block, c, out=out[start:stop])
-    return out.reshape(t.shape)[()]
-
-
-def _lattice_rows(kernel, flat, T, N):
-    """The runs of `_kernel_matrix` for the 1-d ``flat``, as ``(windows,
-    rows)`` with row j of the matrix in ``windows[rows[j]]``, or None when
-    the matrix is to be evaluated entry by entry. Raises `ValueError` for a
-    NaN or infinite time.
+    as many values as the rows (no two points share a residue), it is None.
     """
     width = 2 * N + 1
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("evaluation times must be finite")
     if flat.size > 1:
         tol = 4.0 * np.spacing(np.max(np.abs(flat)) + T)
         m = np.floor(flat / T)
@@ -523,12 +497,11 @@ def _lattice_rows(kernel, flat, T, N):
 
 
 def truncated_shannon(samples, t):
-    """Classical truncated interpolation sum_n x[n] sinc(t/T - n). A NaN or
-    infinite time raises `ValueError`."""
+    """Classical truncated interpolation sum_n x[n] sinc(t/T - n). A NaN,
+    infinite or overflowing time raises `ValueError`."""
     t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError("evaluation times must be finite")
     T = samples.spacing_T
+    _check_times(t, np.pi / T, samples.half_count_N * T)
     sinc_mat = shannon_kernel(T, t[..., None] - samples.times)
     return sinc_mat @ samples.values
 

@@ -9,11 +9,11 @@ convention. There are two variants, both evaluated in closed form by
              + 2 alpha B sinc(2 B t),
 
 real and even because the coefficients are real and symmetric. Uniform
-weights W = 1 are the flat spec with no spline mass and floor alpha = 1, whose
-kernel is the floor term ``2 B sinc(2 B t)`` alone. The cosine
+weights W = 1 are the flat spec with no spline mass and floor alpha = 1,
+whose kernel is the floor term ``2 B sinc(2 B t)`` alone. The cosine
 polynomial is a Chebyshev series in ``x = cos(2 A t)``, summed by Clenshaw's
-recurrence (one ``cos`` per entry), and the sinc power is K multiplies. For a
-tabulated density S (reciprocal weight linear between grid nodes, as
+recurrence (one ``cos`` per entry), and the sinc power is K multiplies. For
+a tabulated density S (reciprocal weight linear between grid nodes, as
 ``np.interp`` reads it, and constant beyond the end nodes) the transform
 ``(1/pi) integral_0^{2 pi B} S(omega) cos(omega t)`` is summed exactly over
 the linear pieces. Both run over the flattened times in fixed blocks, so
@@ -27,12 +27,13 @@ an even count of equal blocks, so that the cut halves the work; they split
 whatever the BLAS. The density grid's blocks end in a BLAS product, which
 rounds a row by where it falls in its block, so they keep their length, and
 split only when the BLAS runs one thread, as `_parallel.run_halves`
-requires. An
-adaptive-quadrature path evaluates the same transform directly from the
-reciprocal weight; it is the independent oracle for the closed forms and is
-used only to check them.
+requires. An adaptive-quadrature path evaluates the same transform directly
+from the reciprocal weight; it is the independent oracle for the closed
+forms and is used only to check them. A NaN, infinite or overflowing time
+raises `ValueError` (`_check_times`).
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,18 +113,16 @@ class Kernel:
 def psi_closed_form(kernel, t):
     """Evaluate the kernel at times ``t`` via the closed-form expression.
 
-    A NaN or infinite time raises `ValueError`. Past one block, the blocks
-    are split at the block edge nearest the middle of ``t`` over two CPUs
-    (`_parallel.run_split`) when the smaller part holds at least
-    ``_MIN_SPLIT_ENTRIES`` entries of work and the process may use two
-    CPUs; a density grid needs the BLAS on one thread too. Each block is
-    evaluated the same either way, so the values are bitwise those of one
-    thread.
+    A NaN, infinite or overflowing time raises `ValueError`. Past one block,
+    the blocks are split at the block edge nearest the middle of ``t`` over
+    two CPUs (`_parallel.run_split`) when the smaller part holds at least
+    ``_MIN_SPLIT_ENTRIES`` entries of work and the process may use two CPUs;
+    a density grid needs the BLAS on one thread too. Each block is evaluated
+    the same either way, so the values are bitwise those of one thread.
     """
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
-    if not np.isfinite(flat).all():
-        raise ValueError("evaluation times must be finite")
+    _check_times(flat, 2.0 * np.pi * kernel.bandwidth_B)
     values, step, cost = (_spec_values(kernel.spec) if kernel.grid is None
                           else _grid_values(kernel))
     if flat.size <= step:
@@ -149,6 +148,20 @@ def psi_closed_form(kernel, t):
     else:
         fill(0, flat.size)
     return out.reshape(t.shape)
+
+
+def _check_times(t, omega, offset=0.0):
+    """Raise `ValueError` for a NaN or infinite time in ``t``, or for one at
+    which a kernel argument, at most ``omega (|t| + offset)`` for angular
+    frequencies up to ``omega``, would overflow (with a factor 2 to spare
+    for rounding) and its sin or cos read NaN."""
+    t = np.asarray(t, dtype=float)
+    # Python floats overflow to inf without a RuntimeWarning
+    reach = float(max(t.max(initial=0.0), -t.min(initial=0.0)))
+    omega, offset = 2.0 * float(omega), float(offset)
+    if not (reach + offset) * omega < np.inf:
+        raise ValueError("evaluation times must be finite and at most "
+                         f"{sys.float_info.max / omega - offset:.6g} in magnitude")
 
 
 def _spec_values(spec):
@@ -266,10 +279,13 @@ def psi_quadrature(kernel, t, tolerance=DEFAULT_TOLERANCE):
 
 
 def shannon_kernel(T, t):
-    """Classical interpolation kernel sinc(t/T) with sinc(0) = 1."""
+    """Classical interpolation kernel sinc(t/T) with sinc(0) = 1. A NaN,
+    infinite or overflowing time raises `ValueError`."""
     if not 0 < T < np.inf:
         raise ValueError(f"spacing T must be finite and positive, got {T}")
-    return np.sinc(np.asarray(t, dtype=float) / T)
+    t = np.asarray(t, dtype=float)
+    _check_times(t, np.pi / T)
+    return np.sinc(t / T)
 
 
 def _spline_knots(spec):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interpolate import SampleSet
-from .kernel import Kernel, psi_closed_form
+from .kernel import Kernel, _check_times, psi_closed_form
 from .weights import DensityGrid, fit_weights, gaussian_smooth, normalized, \
     power_transform, spline_spacing
 
@@ -67,9 +67,11 @@ class AnalyticSignal:
 
 
 def eval_signal(sig, t):
-    """Evaluate the signal at times ``t`` (sinc(0) = 1 convention)."""
+    """Evaluate the signal at times ``t`` (sinc(0) = 1 convention). A NaN,
+    infinite or overflowing time raises `ValueError`."""
     t = np.asarray(t, dtype=float)
     B = sig.bandwidth_B
+    _check_times(t, 2.0 * np.pi * B)
     if sig.kind == "lowfreq":
         return np.sinc(B * t) ** 2 + np.sinc(B * t / NARROW_FACTOR) ** 2
     if sig.kind == "highfreq":

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._parallel import cpu_count, run_split
 from .interpolate import _cardinal_values, build_gram, evaluate, solve
-from .kernel import Kernel, psi_closed_form
+from .kernel import Kernel, _check_times, psi_closed_form
 
 SYNTHESIS_GRID_SIZE = 2048
 MSE_KINDS = ("shannon", "uniform_weight", "matched_weight")
@@ -86,6 +86,7 @@ def squared_errors(psd, interpolator_kind, T, N, t_eval, realizations, seed,
     ``default_rng([seed, k])`` regardless of kind, so kinds see identical
     processes. The error is linear in the draws, ``a.c + b.s`` with c = C [r; -1],
     s = S [r; -1] for the synthesis basis C, S at (nodes, t_eval) and row r.
+    A NaN, infinite or overflowing ``t_eval`` raises `ValueError` first.
 
     The realizations are split into contiguous chunks, one per CPU in the
     process's affinity set and at least ``_MIN_CHUNK`` each; the caller fills
@@ -100,9 +101,12 @@ def squared_errors(psd, interpolator_kind, T, N, t_eval, realizations, seed,
                          f"expected one of {MSE_KINDS}")
     realizations = _count("realizations", realizations)
     nfreq = _count("nfreq", nfreq)
+    if not 0 < T < np.inf:
+        raise ValueError(f"spacing T must be finite and positive, got {T}")
     t_eval = float(t_eval)
     if not np.isfinite(t_eval):
         raise ValueError(f"t_eval must be finite, got {t_eval}")
+    _check_times(t_eval, max(2.0 * np.pi * psd.bandwidth_B, np.pi / T), N * T)
     weights = np.append(_predictor_row(psd, interpolator_kind, T, N, t_eval), -1.0)
     cos_t, sin_t = _synthesis_basis(psd, np.append(np.arange(-N, N + 1) * T, t_eval),
                                     nfreq)

@@ -69,7 +69,7 @@ def random_weight_spec(seed, degree_K=None, half_count_M=None, bandwidth_B=None)
     return WeightSpec(B, K, M, d, alpha)
 
 
-# The tolerance of a lattice kernel-matrix entry (`_kernel_matrix`) against
+# The tolerance of a lattice kernel-matrix entry (`kernel_rows`) against
 # the direct psi(t - nT): its argument may differ from t - nT by a few ulps
 # of the largest argument, so it is 8 ulps of psi0 times
 # (1 + 2 pi B max|t - nT|): psi sums terms whose sizes add up to about psi0
@@ -108,6 +108,15 @@ def dense_gram(gram):
 
 def dense_kernel_matrix(kernel, t, T, N):
     return psi_closed_form(kernel, t[..., None] - np.arange(-N, N + 1) * T)
+
+
+def kernel_rows(gram, t):
+    """The kernel rows psi(t_j - nT) over the nodes of ``gram`` as
+    `interpolate._kernel_rows` gives them in one block that spans every
+    point, with shape ``t.shape + (2N+1,)``."""
+    t = np.asarray(t, dtype=float)
+    ((_, _, rows),) = interpolate._kernel_rows(gram, t.ravel(), [0, t.size])
+    return rows.reshape(t.shape + (gram.size,))
 
 
 def dense_power_sq(kernel, R, dense, tol):

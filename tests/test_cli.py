@@ -284,6 +284,35 @@ def test_non_finite_grid_is_config_error(tmp_path, capsys, command, min_s, max_s
     assert not out.exists() or not list(out.iterdir())
 
 
+# Grids and evaluation times whose span is finite, but at which psi, sinc or
+# the signal overflow: beside the (-1e308, 1e308) grid above, these once
+# wrote NaN rows (the psi rows, the truth and sinc columns, the mse and stderr)
+# and exited 0.
+HUGE_GRID = {"grid": {"min_s": 0.0, "max_s": 1e308, "count": 3}}
+OVERFLOWING_TIMES = {
+    "kernel": ("kernel", HUGE_GRID),
+    "compare": ("compare", HUGE_GRID),
+    "compare-sinc": ("compare", {**HUGE_GRID, "kinds": ["sinc"]}),
+    "cardinals": ("cardinals", HUGE_GRID),
+    "bounds": ("bounds", HUGE_GRID),
+    "mc": ("mc", {"mc": {"realizations": 4, "eval_time_s": 1e308}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_TIMES))
+def test_overflowing_finite_times_are_config_errors(tmp_path, capsys, case):
+    command, overrides = OVERFLOWING_TIMES[case]
+    cfg = write_config(tmp_path, ball_radius=10.0, **overrides)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli([command, "--config", str(cfg), "--output-dir", str(out),
+                        "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: evaluation times must be finite and at most ")
+    assert not out.exists() or not list(out.iterdir())
+
+
 INTEGER_KEYS = [
     ("compare", "half_count_n", {"half_count_n": 10.7}, "10.7"),
     ("cardinals", "half_count_n", {"half_count_n": True}, "True"),

@@ -13,10 +13,10 @@ from bandlim import (Kernel, NotPositiveDefiniteError, PSDModel, SampleSet,
                      evaluate, inverse_weight_eval, power_function,
                      psi_closed_form, sample_signal, shannon_kernel, solve,
                      squared_errors, truncated_shannon, wnorm_sq)
-from bandlim.interpolate import (_cardinal_values, _fill_half, _fold, _kernel_matrix,
-                                 _unfold)
+from bandlim.interpolate import _cardinal_values, _fill_half, _fold, _unfold
 from conftest import (TOL_ULPS, dense_gram, dense_kernel_matrix, dense_power_sq, grid_kernel,
-                      grid_kernel_reference, lattice_tolerance, random_weight_spec)
+                      grid_kernel_reference, kernel_rows, lattice_tolerance,
+                      random_weight_spec)
 
 B = 1.0
 
@@ -315,9 +315,11 @@ class TestTruncatedShannon:
             direct, rel=1e-14)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("t", [np.nan, np.inf, [0.1, np.nan, 0.2], [[0.0], [-np.inf]]])
+    @pytest.mark.parametrize("t", [np.nan, np.inf, [0.1, np.nan, 0.2], [[0.0], [-np.inf]],
+                                   [0.1, 1e308], -1e308])
     def test_non_finite_times_rejected(self, t):
-        # NaN came out here once, with a RuntimeWarning from sin
+        # NaN came out here once, with a RuntimeWarning from sin, and at 1e308,
+        # where t / T overflows
         samples = SampleSet(0.5, np.ones(5))
         with pytest.raises(ValueError, match="evaluation times must be finite"):
             truncated_shannon(samples, t)
@@ -374,14 +376,16 @@ class TestRidge:
 
 # --- kernel matrices from residue classes of t mod T -------------------------
 #
-# `_kernel_matrix` against the dense reference psi(t[..., None] - nodes). Off
-# the lattice it must take that very path (bit-identical). On it, each entry
-# is checked to `conftest.lattice_tolerance`.
+# The kernel rows of `_kernel_rows`, read as one block that spans every point
+# (`conftest.kernel_rows`), against the dense reference
+# psi(t[..., None] - nodes). Off the lattice they must take that very path
+# (bit-identical). On it, each entry is checked to
+# `conftest.lattice_tolerance`.
 
 
 @contextmanager
 def counted_psi():
-    """Count the psi entries `_kernel_matrix` evaluates."""
+    """Count the psi entries evaluated meanwhile."""
     counts = []
 
     def counting(kernel, t):
@@ -392,11 +396,14 @@ def counted_psi():
         yield counts
 
 
+KERNEL_KINDS = ("spec", "grid", "uniform")
+
+
 @st.composite
-def matrix_kernels(draw):
-    """A spec, grid or uniform kernel at bandwidth 0.5, 1 or 2."""
+def matrix_kernels(draw, kinds=KERNEL_KINDS):
+    """A spec, grid or uniform kernel (of ``kinds``) at bandwidth 0.5, 1 or 2."""
     seed = draw(st.integers(0, 10_000))
-    kind = draw(st.sampled_from(["spec", "grid", "uniform"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "spec":
         return Kernel.from_spec(random_weight_spec(seed))
     B = draw(st.sampled_from([0.5, 1.0, 2.0]))
@@ -406,11 +413,11 @@ def matrix_kernels(draw):
 
 
 @st.composite
-def lattice_cases(draw):
+def lattice_cases(draw, kinds=KERNEL_KINDS):
     """Kernel, T, N and a grid of step h with T/h = 40, 10 or 80/3 (as arange
     or linspace), with some residue class holding two points or more, possibly
     reshaped to 2-d and possibly with off-lattice points mixed in."""
-    kernel = draw(matrix_kernels())
+    kernel = draw(matrix_kernels(kinds))
     B = kernel.bandwidth_B
     T = draw(st.sampled_from([0.5, 0.75, 1.0])) / (2.0 * B)
     N = draw(st.integers(0, 10))
@@ -447,8 +454,9 @@ off_lattice_times = arrays(float, array_shapes(min_dims=0, max_dims=2, min_side=
                            np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0)]])))
 def test_kernel_matrix_on_lattice(case):
     kernel, T, N, t = case
+    gram = build_gram(kernel, T, N)
     with counted_psi() as counts:
-        value = _kernel_matrix(kernel, t, T, N)
+        value = kernel_rows(gram, t)
     assert value.shape == t.shape + (2 * N + 1,)
     # A class of n points whose m spans s saves (n - 1)(2N + 1) - s values;
     # s <= 3(n - 1) on the grid, the points next to its multiples of T only
@@ -471,7 +479,7 @@ def test_kernel_matrix_off_lattice_is_direct(kernel, T, N, t):
     if t.size > 1:
         r = np.sort(np.mod(t.ravel(), T))
         assume(np.all(np.diff(r) > 1e-9) and r[-1] - r[0] < T - 1e-9)
-    value = _kernel_matrix(kernel, t, T, N)
+    value = kernel_rows(build_gram(kernel, T, N), t)
     assert value.shape == t.shape + (2 * N + 1,)
     np.testing.assert_array_equal(value, dense_kernel_matrix(kernel, t, T, N))
 
@@ -493,7 +501,7 @@ def test_blocked_products_are_bitwise_the_matrix_product(lowpass_kernel, monkeyp
     gram = build_gram(lowpass_kernel, T, N)
     interp = solve(gram, samples)
     with counted_psi() as counts:
-        matrix = _kernel_matrix(lowpass_kernel, t, T, N)
+        matrix = kernel_rows(gram, t)
     # the lattice cases evaluate fewer psi than the matrix holds, the others all
     assert (sum(counts) < matrix.size) == (lattice and size > 1)
     for value, c in ((evaluate(interp, t), interp.coeffs_c),
@@ -512,10 +520,12 @@ TIME_USES = {
 
 @pytest.mark.parametrize("use", sorted(TIME_USES))
 @pytest.mark.parametrize("t", [np.nan, [0.25, np.inf], [[0.0, 0.5], [-np.inf, 1.0]],
-                               np.append(np.arange(-20, 21) * 0.25, np.nan)])
+                               np.append(np.arange(-20, 21) * 0.25, np.nan),
+                               [1e308, 0.5], np.append(np.arange(-20, 21) * 0.25, -1e308)])
 def test_non_finite_times_rejected_before_psi(lowpass_kernel, use, t):
-    # one check in `_kernel_matrix`, ahead of the lattice test; evaluate and
-    # cardinal once returned NaN here
+    # one check in `_kernel_rows`, ahead of the lattice test; evaluate and
+    # cardinal once returned NaN here, and at 1e308, where psi's arguments
+    # overflow
     _, samples = nyquist_setup()
     interp = solve(build_gram(lowpass_kernel, samples.spacing_T, samples.half_count_N),
                    samples)
@@ -544,8 +554,9 @@ def test_kernel_matrix_pairs_residues_on_symmetric_grids(kernel, ratio, N, latti
     T = ratio / (2.0 * kernel.bandwidth_B)
     k = np.arange(-G, G + 1)
     t = k * (T * periods / classes)
+    gram = build_gram(kernel, T, N)
     with counted_psi() as counts:
-        value = _kernel_matrix(kernel, t, T, N)
+        value = kernel_rows(gram, t)
     runs = unpaired_runs(k, periods, classes, N)
     assert sum(counts) <= np.sum(runs) / 2 + np.max(runs)
     dense = dense_kernel_matrix(kernel, t, T, N)
@@ -582,8 +593,9 @@ def test_kernel_matrix_one_sided_grid_costs_no_more(kernel, ratio, N, lattice, c
     # and keep a run of their own, so no more psi is evaluated than one run
     # per residue class, or than the direct path, would take.
     T, k, t = one_sided_grid(kernel, ratio, lattice, count, periods_out, negative)
+    gram = build_gram(kernel, T, N)
     with counted_psi() as counts:
-        value = _kernel_matrix(kernel, t, T, N)
+        value = kernel_rows(gram, t)
     classes, periods = lattice
     assert sum(counts) <= min(np.sum(unpaired_runs(k, periods, classes, N)),
                               value.size)
@@ -601,7 +613,8 @@ def test_far_grid_kernel_entries_match_fifty_digits():
     T, _, t = one_sided_grid(kernel, ratio, lattice, count, periods_out, negative)
     exact = grid_kernel_reference(kernel, t, T, N)
     atol = TOL_ULPS * np.finfo(float).eps * kernel.psi0
-    for value in (_kernel_matrix(kernel, t, T, N), dense_kernel_matrix(kernel, t, T, N)):
+    for value in (kernel_rows(build_gram(kernel, T, N), t),
+                  dense_kernel_matrix(kernel, t, T, N)):
         np.testing.assert_allclose(value, exact, rtol=0, atol=atol)
 
 
@@ -668,12 +681,12 @@ def test_power_function_at_split_size_matches_dense_form(lowpass_kernel):
 
 
 @st.composite
-def near_node_cases(draw):
+def near_node_cases(draw, kinds=KERNEL_KINDS):
     """Kernel, T at or below the Nyquist rate (T 2B in [1, 2]), N <= 40, and
     points of four kinds, shuffled: exact nodes nT, points within 1e-7 T of
     nodes, points 1e-7 T to 1e-3 T from nodes (where P^2 crosses the gate of
     `power_function`) and off-lattice points, each kind maybe absent."""
-    kernel = draw(matrix_kernels())
+    kernel = draw(matrix_kernels(kinds))
     T = draw(st.floats(1.0, 2.0)) / (2.0 * kernel.bandwidth_B)
     N = draw(st.integers(0, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -703,6 +716,53 @@ def test_power_function_gate_matches_dense_second_order_form(case):
     dense = dense_kernel_matrix(kernel, t, T, N)
     p2, atol = dense_power_sq(kernel, R, dense, lattice_tolerance(kernel, t, T, N))
     np.testing.assert_allclose(power_function(gram, t) ** 2, p2, rtol=0, atol=atol)
+
+
+@st.composite
+def direct_cases(draw, kinds=KERNEL_KINDS):
+    """Kernel, T, N <= 12 and 1 to 60 uniform random points, which (almost
+    surely) share no residue of t mod T and so take direct psi rows."""
+    kernel = draw(matrix_kernels(kinds))
+    T = draw(st.sampled_from([0.5, 0.75, 1.0])) / (2.0 * kernel.bandwidth_B)
+    N = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return kernel, T, N, rng.uniform(-(N + 2) * T, (N + 2) * T, draw(st.integers(1, 60)))
+
+
+# The deviation allowed between `_cardinal_values` in blocks of a few rows and
+# in one block, in units of eps max|u| over the nodes of each point. A
+# right-side triangular solve need not round a row alike wherever it falls
+# in a block; over 1200 random cases of 2 to 7 rows a block, on OpenBLAS
+# 0.3.31 (Haswell kernels) with one or two threads, no entry moved at all.
+BLOCK_CARDINAL_ULPS = 4.0
+
+
+# A density grid's psi ends in a BLAS product, which rounds a value by where
+# it falls in its block of psi (`kernel.psi_closed_form`), so its direct rows
+# depend on the rows evaluated with them; its lattice runs, made once for
+# every point, do not.
+ENTRYWISE_KINDS = ("spec", "uniform")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(lattice_cases(ENTRYWISE_KINDS), near_node_cases(ENTRYWISE_KINDS),
+                 direct_cases(ENTRYWISE_KINDS)), st.integers(2, 7))
+def test_row_blocks_match_one_block(case, rows):
+    # Blocks of a few rows, so that most calls end in a remainder, against one
+    # block that spans every point: P bitwise, the points near the nodes
+    # finished together after the walk, and the cardinal values within
+    # `BLOCK_CARDINAL_ULPS`
+    kernel, T, N, t = case
+    gram = build_gram(kernel, T, N)
+    assume(np.linalg.cond(dense_gram(gram)) < 1e8)
+    values = []
+    for block_rows in (rows, 1 << 30):
+        with patch.object(interpolate_module, "_BLOCK_ROWS", block_rows):
+            values.append((power_function(gram, t), _cardinal_values(gram, t)))
+    (p, u), (p_one, u_one) = values
+    assert p.tobytes() == p_one.tobytes()
+    atol = BLOCK_CARDINAL_ULPS * np.finfo(float).eps * np.max(np.abs(u_one), axis=0)
+    assert np.all(np.abs(u - u_one) <= atol)
 
 
 # --- the even and odd halves against a dense solve ---------------------------
@@ -742,7 +802,7 @@ def test_halves_match_dense_solve(kernel, ratio, N, sigma2, seed):
           dense_solve(ridged, x, assume_a="pos"), np.linalg.cond(ridged))
     check(np.array([cardinal_coeffs(gram, n) for n in range(-N, N + 1)]),
           dense_solve(R, np.eye(gram.size), assume_a="pos"), cond)
-    v = np.moveaxis(_kernel_matrix(kernel, t, T, N), -1, 0)
+    v = np.moveaxis(kernel_rows(gram, t), -1, 0)
     check(_cardinal_values(gram, t),
           dense_solve(R, v.reshape(gram.size, -1),
                       assume_a="pos").reshape(v.shape), cond)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -147,6 +149,19 @@ class TestShannonKernel:
     def test_invalid_spacing(self):
         with pytest.raises(ValueError):
             shannon_kernel(0.0, 1.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t", [np.nan, [0.5, -np.inf], [0.5, 1e308], 2e307])
+    def test_non_finite_or_overflowing_times_rejected(self, t):
+        # t / T = 1e308 / 0.3 overflows, and sinc read NaN; 2e307 / 0.3 does
+        # not, but pi times it does
+        with pytest.raises(ValueError, match="evaluation times must be finite"):
+            shannon_kernel(0.3, t)
+
+    def test_largest_accepted_time_is_finite(self):
+        # the check leaves a factor 2 below the overflow of pi t / T
+        t = sys.float_info.max / (2.0 * np.pi / 0.3)
+        assert np.isfinite(shannon_kernel(0.3, t))
 
 
 @settings(max_examples=25, deadline=None)
@@ -371,8 +386,11 @@ def test_split_psi_is_bitwise_the_inline_one(kernel, sizes):
 @pytest.mark.parametrize("kernel", [Kernel.uniform(1.0), Kernel.from_spec(random_weight_spec(3)),
                                     Kernel.from_grid(*grid_example(1.0, -1.1, 1.1, 12))])
 @pytest.mark.parametrize("t", [np.nan, -np.inf, [0.5, np.inf], [[0.0, 0.5], [np.nan, 1.0]],
-                               np.append(np.linspace(-5.0, 5.0, 3 * _BLOCK), np.nan)])
+                               np.append(np.linspace(-5.0, 5.0, 3 * _BLOCK), np.nan),
+                               [0.5, 1e308], np.append(np.linspace(-5.0, 5.0, 3 * _BLOCK),
+                                                       -1e308)])
 def test_non_finite_times_rejected(kernel, t):
-    # psi once returned NaN here, with a RuntimeWarning from sin
+    # psi once returned NaN here, with a RuntimeWarning from sin; at 1e308 the
+    # finite time overflowed in 2 B t
     with split_cpus(2, 1), pytest.raises(ValueError, match="evaluation times must be finite"):
         psi_closed_form(kernel, t)

@@ -13,7 +13,7 @@ from scipy.linalg.blas import dtrsm
 
 from bandlim import (Kernel, NotPositiveDefiniteError, SampleSet, build_gram, cardinal, evaluate,
                      power_function, solve, wnorm_sq)
-from bandlim import _lapack, kernel as kernel_module
+from bandlim import _lapack, interpolate, kernel as kernel_module
 from bandlim.interpolate import _cardinal_values
 from conftest import split_cpus
 
@@ -118,10 +118,12 @@ def test_concurrent_halves_are_bitwise_the_inline_ones(lowpass_kernel, monkeypat
         sys.setswitchinterval(interval)
     # one worker per split site: the filled and factored halves (the first
     # row of 301 entries is one psi block); the solve; in power_function its
-    # kernel table, its first stage with the row sums and its second stage;
-    # the kernel tables of the cardinals, of evaluate and of cardinal, and
-    # the solve of cardinal. The quadratic forms stay in the caller.
-    assert threads == [1, 1, 3, 1, 0, 1, 2]
+    # kernel table, its first stage with the row sums in each of the two
+    # blocks of its 1128 distinct |t| (`interpolate._BLOCK_ROWS`), and its
+    # second stage; the kernel tables of the cardinals, of evaluate and of
+    # cardinal, and the solve of cardinal. The quadratic forms stay in the
+    # caller.
+    assert threads == [1, 1, 4, 1, 0, 1, 2]
     with split_cpus(cpus, blas_threads, 0) as started:
         inline, threads = products(started)
     # psi of a weight spec splits whatever the BLAS; the halves do not
@@ -186,8 +188,9 @@ def test_worker_failure_is_raised_after_the_join(lowpass_kernel, capfd):
         power_function(gram, t)
     assert len(started) == 1
     assert not started[0].is_alive()
-    # the 1125 distinct |t| of the grid off the nodes and the 3 nudged nodes
-    assert finished == [(1128, N + 1)]
+    # the first block of the 1125 distinct |t| of the grid off the nodes and
+    # the 3 nudged nodes, 1128 rows in all
+    assert finished == [(min(1128, interpolate._BLOCK_ROWS), N + 1)]
     assert threading.active_count() == before
     assert escaped == []
     assert capfd.readouterr().err == ""

@@ -36,6 +36,17 @@ class TestEval:
                                        eval_signal(sig, -t), rtol=1e-12,
                                        atol=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["lowfreq", "highfreq", "mixture"])
+    @pytest.mark.parametrize("t", [np.nan, [0.0, -np.inf], [0.0, 1e308]])
+    def test_non_finite_or_overflowing_times_rejected(self, lowpass_kernel, name, t):
+        # at 1e308 the sinc arguments overflowed and the truth column of
+        # `bandlim compare` read NaN
+        sig = (AnalyticSignal.kernel_mixture(lowpass_kernel, [-1.0, 2.0], [0.5, 1.0])
+               if name == "mixture" else AnalyticSignal(name, B))
+        with pytest.raises(ValueError, match="evaluation times must be finite"):
+            eval_signal(sig, t)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             AnalyticSignal("chirp", B)

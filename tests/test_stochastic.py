@@ -314,6 +314,20 @@ class TestEmpiricalMSE:
                 pytest.raises(ValueError, match=f"t_eval must be finite, got {t_eval}"):
             squared_errors(lowpass_psd, kind, 1.0, 5, t_eval, 10, 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", MSE_KINDS)
+    @pytest.mark.parametrize("t_eval", [1e308, -1e308])
+    def test_overflowing_eval_time_rejected_before_any_evaluation(self, lowpass_psd, kind,
+                                                                  t_eval):
+        # `bandlim mc` once wrote NaN mse and stderr here and exited 0
+        def unreachable(*args, **kwargs):
+            raise AssertionError("evaluated before t_eval was checked")
+
+        with patch("bandlim.interpolate.psi_closed_form", unreachable), \
+                patch("bandlim.stochastic._synthesis_basis", unreachable), \
+                pytest.raises(ValueError, match="evaluation times must be finite"):
+            squared_errors(lowpass_psd, kind, 1.0, 5, t_eval, 10, 1)
+
 
 def _serial_errors(psd, kind, T, N, t_eval, realizations, seed):
     """The Monte-Carlo loop written out: one realization after another."""
