@@ -38,14 +38,16 @@ and lays out the rows once for all the points: `_lattice_rows` groups the
 points by residue of t mod T, one run of psi per group, and pairs the residues
 r and T - r (psi is even), so each row is a window of a run and a grid
 symmetric about 0 evaluates about half the runs; points that share no residue
-take direct psi rows. `evaluate` and `cardinal` need only the product of the
-rows with one vector (`_kernel_product`), in blocks of about 2^16 entries. The
-cardinals and the power function fold each block of ``_BLOCK_ROWS`` rows into
-the halves and solve it in place from the right by the Cholesky factor L of
-each half (`_kernel_halves`): first w = v L^{-T}, whose squared row norms,
-summed over the halves, are the Schur term v R^{-1} v of the power function,
-then the cardinal values u = w L^{-1}. `_cardinal_values` takes both stages on
-every row, `bounds.power_function` the second only on the rows near the nodes.
+take direct psi rows. A psi value depends on its own time alone, and
+`evaluate` and `cardinal` need only the dot of each row with one vector
+(`_kernel_product`, ``np.vecdot``, in blocks of about 2^16 entries), so their
+values do not depend on where the blocks are cut. The cardinals and the power
+function fold each block of ``_BLOCK_ROWS`` rows into the halves and solve it
+in place from the right by the Cholesky factor L of each half
+(`_kernel_halves`): first w = v L^{-T}, whose squared row norms, summed over
+the halves, are the Schur term v R^{-1} v of the power function, then the
+cardinal values u = w L^{-1}. `_cardinal_values` takes both stages on every
+row, `bounds.power_function` the second only on the rows near the nodes.
 Each block is dropped before the next is made, so malloc hands its memory to
 the next block instead of new pages, and the memory of a walk is a few blocks
 whatever the points.
@@ -62,12 +64,10 @@ from ._parallel import run_halves
 from .kernel import _check_times, psi_closed_form, shannon_kernel
 
 _SQRT_HALF = np.sqrt(0.5)
-# Entries of a `_kernel_product` block, and the multiple of rows it comes in.
-# On a 2-core host with the BLAS on one thread, N = 200 on 4001 points took
-# 0.72 ms in blocks of 2^15 to 2^17 entries against 1.04 ms in one piece. As
-# OpenBLAS dgemv groups rows, 128-row multiples keep the product bitwise.
+# Entries of a `_kernel_product` block. On a 2-core host with the BLAS on one
+# thread, `evaluate` at N = 200 on 4001 lattice points took 0.57 ms in blocks
+# of 2^16 entries, 0.60 ms in 2^15 or 2^17, and 0.74 ms in one piece.
 _PRODUCT_ENTRIES = 1 << 16
-_PRODUCT_ALIGN = 128
 # Rows per block of `_cardinal_values` and `bounds._power_sq`: each block
 # reads the whole factor of each half again, so a block is a count of rows.
 # On a 2-core host with the BLAS on one thread, `power_function` at N = 200
@@ -399,20 +399,14 @@ def _kernel_rows(gram, flat, cuts):
 
 def _kernel_product(gram, t, c):
     """sum_n c_n psi(t - nT) over the nodes of ``gram``, with the shape of
-    ``t``, a block of kernel rows at a time (about ``_PRODUCT_ENTRIES``
-    entries, in whole multiples of ``_PRODUCT_ALIGN`` rows)."""
+    ``t``, a block of kernel rows of about ``_PRODUCT_ENTRIES`` entries at a
+    time, each row its own dot product."""
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
     out = np.empty(flat.size)
-    # one product per row along the last axis of t, as matmul takes a stack;
-    # the last block of a row takes its remainder, so that no block is a
-    # short product of its own
-    length = max(1, t.shape[-1] if t.ndim else 1)
-    step = _PRODUCT_ALIGN * max(1, _PRODUCT_ENTRIES // (gram.size * _PRODUCT_ALIGN))
-    count = max(1, length // step)
-    cuts = [first + k * step for first in range(0, flat.size, length) for k in range(count)]
-    for start, stop, rows in _kernel_rows(gram, flat, cuts + [flat.size]):
-        np.matmul(rows, c, out=out[start:stop])
+    cuts = [*range(0, flat.size, max(1, _PRODUCT_ENTRIES // gram.size)), flat.size]
+    for start, stop, rows in _kernel_rows(gram, flat, cuts):
+        np.vecdot(rows, c, out=out[start:stop])
         del rows
     return out.reshape(t.shape)[()]
 

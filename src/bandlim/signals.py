@@ -14,8 +14,8 @@ import numpy as np
 
 from .interpolate import SampleSet
 from .kernel import Kernel, _check_times, psi_closed_form
-from .weights import DensityGrid, fit_weights, gaussian_smooth, normalized, \
-    power_transform, spline_spacing
+from .weights import DensityGrid, _check_bandwidth, fit_weights, gaussian_smooth, \
+    normalized, power_transform, spline_spacing
 
 NAMED_KINDS = ("lowfreq", "highfreq")
 MODULATION_RATE = 1.7  # times pi*B, keeping the narrow spectrum in-band
@@ -33,8 +33,7 @@ class AnalyticSignal:
     mixture_amps: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.bandwidth_B <= 0:
-            raise ValueError(f"bandwidth_B must be positive, got {self.bandwidth_B}")
+        _check_bandwidth(self.bandwidth_B)
         if self.kind in NAMED_KINDS:
             return
         if self.kind != "mixture":

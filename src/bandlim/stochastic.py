@@ -99,6 +99,7 @@ def squared_errors(psd, interpolator_kind, T, N, t_eval, realizations, seed,
     if interpolator_kind not in MSE_KINDS:
         raise ValueError(f"unknown interpolator kind {interpolator_kind!r}; "
                          f"expected one of {MSE_KINDS}")
+    N = _count("half count N", N, least=0)
     realizations = _count("realizations", realizations)
     nfreq = _count("nfreq", nfreq)
     if not 0 < T < np.inf:
@@ -127,14 +128,14 @@ def squared_errors(psd, interpolator_kind, T, N, t_eval, realizations, seed,
     return errors
 
 
-def _count(name, value):
-    """``value`` as an int >= 1, else a ValueError that names it."""
+def _count(name, value, least=1):
+    """``value`` as an int >= ``least``, else a ValueError that names it."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
 
 

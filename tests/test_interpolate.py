@@ -396,14 +396,11 @@ def counted_psi():
         yield counts
 
 
-KERNEL_KINDS = ("spec", "grid", "uniform")
-
-
 @st.composite
-def matrix_kernels(draw, kinds=KERNEL_KINDS):
-    """A spec, grid or uniform kernel (of ``kinds``) at bandwidth 0.5, 1 or 2."""
+def matrix_kernels(draw):
+    """A spec, grid or uniform kernel at bandwidth 0.5, 1 or 2."""
     seed = draw(st.integers(0, 10_000))
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(["spec", "grid", "uniform"]))
     if kind == "spec":
         return Kernel.from_spec(random_weight_spec(seed))
     B = draw(st.sampled_from([0.5, 1.0, 2.0]))
@@ -413,11 +410,11 @@ def matrix_kernels(draw, kinds=KERNEL_KINDS):
 
 
 @st.composite
-def lattice_cases(draw, kinds=KERNEL_KINDS):
+def lattice_cases(draw):
     """Kernel, T, N and a grid of step h with T/h = 40, 10 or 80/3 (as arange
     or linspace), with some residue class holding two points or more, possibly
     reshaped to 2-d and possibly with off-lattice points mixed in."""
-    kernel = draw(matrix_kernels(kinds))
+    kernel = draw(matrix_kernels())
     B = kernel.bandwidth_B
     T = draw(st.sampled_from([0.5, 0.75, 1.0])) / (2.0 * B)
     N = draw(st.integers(0, 10))
@@ -488,26 +485,33 @@ def test_kernel_matrix_off_lattice_is_direct(kernel, T, N, t):
 @pytest.mark.parametrize("shape", [(1,), (127,), (128,), (129,), (256,), (2, 300), (385,)])
 def test_blocked_products_are_bitwise_the_matrix_product(lowpass_kernel, monkeypatch,
                                                          lattice, shape):
-    # blocks of 128 rows, the least `_kernel_product` takes; at N = 10 each
-    # reference product stays under the size at which OpenBLAS spreads one
-    # gemv over threads, which rounds its rows otherwise than one call
-    monkeypatch.setattr(interpolate_module, "_PRODUCT_ENTRIES", 1)
+    # blocks of one row, the least `_kernel_product` takes, against the dot
+    # of each row of one block that spans every point, and against the ravel
+    # of t in blocks of the default size, for a spec and a density-grid
+    # kernel: a density grid's psi sums its pieces row by row too
     T, N = 0.75, 10
     size = int(np.prod(shape))
-    rng = np.random.default_rng(size)
-    t = (np.arange(size) - size // 3) * (T / 8) if lattice else rng.uniform(-20.0, 20.0, size)
-    t = t.reshape(shape)
-    samples = SampleSet(T, rng.standard_normal(2 * N + 1))
-    gram = build_gram(lowpass_kernel, T, N)
-    interp = solve(gram, samples)
-    with counted_psi() as counts:
-        matrix = kernel_rows(gram, t)
-    # the lattice cases evaluate fewer psi than the matrix holds, the others all
-    assert (sum(counts) < matrix.size) == (lattice and size > 1)
-    for value, c in ((evaluate(interp, t), interp.coeffs_c),
-                     (cardinal(gram, 3, t), cardinal_coeffs(gram, 3))):
-        assert value.shape == shape
-        assert value.tobytes() == (matrix @ c).tobytes()
+    for kernel in (lowpass_kernel, grid_kernel(5, B)):
+        rng = np.random.default_rng(size)
+        t = (np.arange(size) - size // 3) * (T / 8) if lattice else rng.uniform(-20.0, 20.0, size)
+        t = t.reshape(shape)
+        samples = SampleSet(T, rng.standard_normal(2 * N + 1))
+        gram = build_gram(kernel, T, N)
+        interp = solve(gram, samples)
+        with counted_psi() as counts:
+            matrix = kernel_rows(gram, t)
+        # the lattice cases evaluate fewer psi than the matrix holds, the others all
+        assert (sum(counts) < matrix.size) == (lattice and size > 1)
+        uses = ((lambda x: evaluate(interp, x), interp.coeffs_c),
+                (lambda x: cardinal(gram, 3, x), cardinal_coeffs(gram, 3)))
+        flat_values = [use(t.ravel()) for use, _ in uses]
+        with monkeypatch.context() as one_row:
+            one_row.setattr(interpolate_module, "_PRODUCT_ENTRIES", 1)
+            for (use, c), flat_value in zip(uses, flat_values):
+                value = use(t)
+                assert value.shape == shape
+                assert value.tobytes() == np.vecdot(matrix, c).tobytes()
+                assert value.tobytes() == flat_value.tobytes()
 
 
 TIME_USES = {
@@ -681,12 +685,12 @@ def test_power_function_at_split_size_matches_dense_form(lowpass_kernel):
 
 
 @st.composite
-def near_node_cases(draw, kinds=KERNEL_KINDS):
+def near_node_cases(draw):
     """Kernel, T at or below the Nyquist rate (T 2B in [1, 2]), N <= 40, and
     points of four kinds, shuffled: exact nodes nT, points within 1e-7 T of
     nodes, points 1e-7 T to 1e-3 T from nodes (where P^2 crosses the gate of
     `power_function`) and off-lattice points, each kind maybe absent."""
-    kernel = draw(matrix_kernels(kinds))
+    kernel = draw(matrix_kernels())
     T = draw(st.floats(1.0, 2.0)) / (2.0 * kernel.bandwidth_B)
     N = draw(st.integers(0, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -719,10 +723,10 @@ def test_power_function_gate_matches_dense_second_order_form(case):
 
 
 @st.composite
-def direct_cases(draw, kinds=KERNEL_KINDS):
+def direct_cases(draw):
     """Kernel, T, N <= 12 and 1 to 60 uniform random points, which (almost
     surely) share no residue of t mod T and so take direct psi rows."""
-    kernel = draw(matrix_kernels(kinds))
+    kernel = draw(matrix_kernels())
     T = draw(st.sampled_from([0.5, 0.75, 1.0])) / (2.0 * kernel.bandwidth_B)
     N = draw(st.integers(0, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -737,16 +741,8 @@ def direct_cases(draw, kinds=KERNEL_KINDS):
 BLOCK_CARDINAL_ULPS = 4.0
 
 
-# A density grid's psi ends in a BLAS product, which rounds a value by where
-# it falls in its block of psi (`kernel.psi_closed_form`), so its direct rows
-# depend on the rows evaluated with them; its lattice runs, made once for
-# every point, do not.
-ENTRYWISE_KINDS = ("spec", "uniform")
-
-
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(lattice_cases(ENTRYWISE_KINDS), near_node_cases(ENTRYWISE_KINDS),
-                 direct_cases(ENTRYWISE_KINDS)), st.integers(2, 7))
+@given(st.one_of(lattice_cases(), near_node_cases(), direct_cases()), st.integers(2, 7))
 def test_row_blocks_match_one_block(case, rows):
     # Blocks of a few rows, so that most calls end in a remainder, against one
     # block that spans every point: P bitwise, the points near the nodes

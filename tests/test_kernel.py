@@ -1,4 +1,5 @@
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -231,17 +232,29 @@ def test_flat_spec_is_bitwise_the_floor_term(B, level, t):
 @settings(max_examples=5, deadline=None)
 @given(st.integers(0, 10_000))
 def test_closed_form_across_block_boundaries(seed):
-    spec = random_weight_spec(seed)
+    # for a spec and a density-grid kernel, the entries either side of each
+    # multiple of _BLOCK, and one in 97, match the reference, and psi of each
+    # alone is its value inside the blocks, bitwise: a density grid sums over
+    # its pieces row by row too
     rng = np.random.default_rng(seed)
     t = rng.uniform(-50.0, 50.0, (3, _BLOCK + 7))
-    value = psi_closed_form(Kernel.from_spec(spec), t)
-    expected = dense_reference(spec, t)
-    tol = reference_tolerance(spec)
-    flat_value, flat_expected = value.ravel(), expected.ravel()
-    for edge in (_BLOCK, 2 * _BLOCK, 3 * _BLOCK):
-        np.testing.assert_allclose(flat_value[edge - 2:edge + 2],
-                                   flat_expected[edge - 2:edge + 2], rtol=0, atol=tol)
-    np.testing.assert_allclose(value, expected, rtol=0, atol=tol)
+    edges = np.arange(_BLOCK, t.size, _BLOCK)[:, None] + np.arange(-2, 2)
+    picked = np.union1d(np.arange(0, t.size, 97), edges)
+    spec = random_weight_spec(seed)
+    B, grid = grid_example(1.0, -1.1, 1.1, 30, seed=seed)
+    cases = [(Kernel.from_spec(spec), partial(dense_reference, spec), reference_tolerance(spec)),
+             (Kernel.from_grid(B, grid), partial(tabulated_transform_reference, B, grid),
+              2e-13 * tabulated_transform_scale(B, grid))]
+    for kernel, reference, tol in cases:
+        value = psi_closed_form(kernel, t)
+        np.testing.assert_allclose(value.flat[picked], reference(t.flat[picked]), rtol=0,
+                                   atol=tol)
+        for j in picked:
+            alone = psi_closed_form(kernel, t.flat[j])
+            assert np.float64(alone).tobytes() == value.flat[j].tobytes(), j
+        if kernel.grid is None:
+            # every entry of the spec's, whose reference is cheap
+            np.testing.assert_allclose(value, reference(t), rtol=0, atol=tol)
 
 
 @st.composite
@@ -344,22 +357,16 @@ def test_grid_closed_form_across_block_boundaries():
 
 def _split_cases():
     """A spec and a grid kernel, each with sizes of t either side of one
-    block, of the split gate and of the block edges, and the threads each
-    should start on two CPUs. A spec's blocks come in equal pairs, so past
-    one block its smaller part is past the gate; a grid's blocks keep their
-    length, and the second part may fall short of it."""
-    spec_sizes = [_BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1,
-                  3 * _BLOCK + 7, 4 * _BLOCK + 1]
-    yield (Kernel.from_spec(random_weight_spec(7)),
-           {size: int(size > _BLOCK) for size in spec_sizes})
+    block and of the block edges, and the threads each should start on two
+    CPUs. Past one block the times come in an even count of equal blocks,
+    halved between the two CPUs."""
     _, grid = grid_example(1.0, -1.1, 1.1, 30, seed=4)
     pieces = np.count_nonzero((grid.omegas > 0) & (grid.omegas < 2.0 * np.pi)) + 1
-    step = _BLOCK // pieces
-    # times in the second part at which the split starts
-    gate = -(-kernel_module._MIN_SPLIT_ENTRIES // pieces)
-    yield (Kernel.from_grid(1.0, grid),
-           {step: 0, step + 1: 0, step + gate - 1: 0, step + gate: 1, 2 * step - 1: 1,
-            2 * step: 1, 2 * step + 1: 1, 3 * step + 7: 1})
+    for kernel, step in ((Kernel.from_spec(random_weight_spec(7)), _BLOCK),
+                         (Kernel.from_grid(1.0, grid), _BLOCK // pieces)):
+        sizes = [step, step + 1, 2 * step - 1, 2 * step, 2 * step + 1, 3 * step + 7,
+                 4 * step + 1]
+        yield kernel, {size: int(size > step) for size in sizes}
 
 
 @pytest.mark.parametrize("kernel, sizes", list(_split_cases()))
@@ -374,11 +381,10 @@ def test_split_psi_is_bitwise_the_inline_one(kernel, sizes):
             split = psi_closed_form(kernel, t)
         assert len(started) == threads, size
         assert split.tobytes() == inline.tobytes(), size
-        # a density grid's blocks end in a BLAS product: a multi-threaded BLAS
-        # keeps them in the caller, while a weight spec splits whatever the BLAS
+        # no block makes a BLAS call: a multi-threaded BLAS splits them too
         with split_cpus(2, 2) as started:
             other = psi_closed_form(kernel, t)
-        assert len(started) == (threads if kernel.grid is None else 0)
+        assert len(started) == threads
         assert other.tobytes() == inline.tobytes()
 
 

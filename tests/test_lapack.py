@@ -86,10 +86,9 @@ def _lattice_case():
 def test_concurrent_halves_are_bitwise_the_inline_ones(lowpass_kernel, monkeypatch, cpus,
                                                        blas_threads):
     T, N, t, samples = _lattice_case()
-    # psi in blocks of 512 entries, split at any size, so that the kernel
-    # tables of this case (about 2400 entries) split too
+    # psi in blocks of 512 entries, so that the kernel tables of this case
+    # (about 2400 entries) split too
     monkeypatch.setattr(kernel_module, "_BLOCK", 512)
-    monkeypatch.setattr(kernel_module, "_MIN_SPLIT_ENTRIES", 0)
 
     def products(started):
         """The bytes of each split site's product, and the threads each started."""

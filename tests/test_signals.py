@@ -51,6 +51,15 @@ class TestEval:
         with pytest.raises(ValueError):
             AnalyticSignal("chirp", B)
 
+    @pytest.mark.parametrize("name", ["lowfreq", "highfreq", "mixture"])
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf])
+    def test_bandwidth_must_be_positive_and_finite(self, lowpass_kernel, name, bandwidth):
+        # a NaN or infinite bandwidth once got through, to fail later as an
+        # out-of-range evaluation time
+        with pytest.raises(ValueError, match="bandwidth_B must be positive and finite"):
+            AnalyticSignal(name, bandwidth, mixture_kernel=lowpass_kernel,
+                           mixture_times=[0.0], mixture_amps=[1.0])
+
 
 class TestSampling:
     def test_nodes_reproduced_by_truncated_shannon(self, highfreq_signal):

@@ -487,3 +487,11 @@ class TestCountChecks:
     def test_non_integral_nfreq_rejected(self, lowpass_psd):
         with pytest.raises(ValueError, match="nfreq must be an integer"):
             squared_errors(lowpass_psd, "shannon", 1.0, 5, 0.5, 4, 1, nfreq=64.5)
+
+    @pytest.mark.parametrize("kind", MSE_KINDS)
+    @pytest.mark.parametrize("N, message", [(-1, "half count N must be >= 0, got -1"),
+                                            (2.5, "half count N must be an integer")])
+    def test_bad_half_count_rejected(self, lowpass_psd, kind, N, message):
+        # the shannon kind once returned errors for both
+        with pytest.raises(ValueError, match=message):
+            squared_errors(lowpass_psd, kind, 1.0, N, 0.5, 4, 1)
