@@ -38,7 +38,10 @@ def main(argv=None):
     Every argument the library sees comes from the config, so a
     ``ValueError`` from its argument checks is a configuration error. The
     numerical failures that are also ``ValueError`` (an infeasible ball, a
-    Gram matrix that does not factor) are matched first.
+    Gram matrix that does not factor) are matched first. An ``OSError`` from
+    creating the output directory or opening an output file is a
+    configuration error too; a command opens its CSV last, so such a failure
+    leaves no CSV.
 
     Safe to call repeatedly in one process. Messages go to the
     ``sys.stdout``/``sys.stderr`` of the moment: click's own default streams
@@ -50,7 +53,7 @@ def main(argv=None):
             WeightFitError, np.linalg.LinAlgError) as exc:
         click.echo(f"numerical failure: {exc}", file=sys.stderr)
         sys.exit(3)
-    except (ValueError, click.UsageError, click.BadParameter) as exc:
+    except (ValueError, OSError, click.UsageError, click.BadParameter) as exc:
         click.echo(f"config error: {exc}", file=sys.stderr)
         sys.exit(2)
     except click.exceptions.Exit as exc:
@@ -126,11 +129,11 @@ def compare(config_path, output_dir, seed, quiet):
                                    "mean_abs": float(np.mean(err))}
 
     path = _output_path(output_dir, cfg, "csv", "compare.csv")
-    _write_csv(path, list(columns), list(columns.values()))
     spath = _output_path(output_dir, cfg, "summary", "compare_summary.json")
     with open(spath, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    _write_csv(path, list(columns), list(columns.values()))
     _note(quiet, f"wrote {path} and {spath}")
 
 

@@ -27,9 +27,10 @@ arithmetic, and the order in which the halves are combined, are the same either
 way, so the results are bitwise those of one thread. The factor of a half
 starts from a Fortran-ordered copy of its block, one memcpy of the transpose,
 which the exact symmetry of the block makes the block itself. The LAPACK and
-BLAS calls go through `_lapack`, ctypes bindings that release the GIL, which
-scipy's wrappers hold. The solves of `_cardinal_values` and the quadratic forms
-of `wnorm_sq` stay in the caller.
+BLAS calls, the condition estimate's ``dpocon`` too, go through `_lapack`:
+ctypes bindings to the OpenBLAS that scipy bundles, which release the GIL for
+each call where scipy's f2py wrappers keep it. The solves of
+`_cardinal_values` and the quadratic forms of `wnorm_sq` stay in the caller.
 
 Every reader of the kernel rows psi(t_j - nT), n = -N..N, one row per point,
 takes them from one walk, `_kernel_rows`, a block of rows at a time, so the
@@ -57,7 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dpocon
 
 from . import _lapack
 from ._parallel import run_halves
@@ -165,9 +165,9 @@ class GramMatrix:
         if self.cholesky is not None:
             norm = inverse_norm = 0.0
             for block, chol in zip(self.blocks, self.cholesky):
-                if block.size:  # dpocon rejects the empty odd block of N = 0
+                if block.size:  # the empty odd block of N = 0 has no 1-norm
                     block_norm = np.linalg.norm(block, 1)
-                    rcond, _ = dpocon(chol, block_norm, uplo="L")
+                    rcond = _lapack.pocon(chol, block_norm)
                     if rcond == 0.0:
                         return float("inf")
                     norm = max(norm, block_norm)

@@ -254,6 +254,44 @@ def test_non_finite_bandwidth_names_the_key(tmp_path, capsys, command, bandwidth
     assert not out.exists() or not list(out.iterdir())
 
 
+COMMAND_OUTPUTS = {"kernel": ("csv",), "compare": ("csv", "summary"), "cardinals": ("csv",),
+                   "bounds": ("csv",), "mc": ("csv",), "fit": ("weights",)}
+
+
+def _every_command_config(tmp_path, **overrides):
+    om = np.linspace(-2 * np.pi, 2 * np.pi, 201)
+    (tmp_path / "density.csv").write_text(
+        "omega,value\n" + "".join(f"{o!r},1.0\n" for o in om.tolist()))
+    return write_config(tmp_path, ball_radius=10.0, mc={"realizations": 4},
+                        fit={"density_csv": "density.csv"}, **overrides)
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OUTPUTS))
+def test_output_dir_under_a_file_is_config_error(tmp_path, capsys, command):
+    cfg = _every_command_config(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert run_cli([command, "--config", str(cfg), "--output-dir", str(blocker / "sub"),
+                    "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Not a directory" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "cfg.json", "density.csv"]
+
+
+@pytest.mark.parametrize("command, role", [(command, role) for command, roles in
+                                           COMMAND_OUTPUTS.items() for role in roles])
+def test_output_file_that_cannot_be_opened_is_config_error(tmp_path, capsys, command, role):
+    # the output name is taken by a directory
+    cfg = _every_command_config(tmp_path, output={role: "taken"})
+    out = tmp_path / "out"
+    (out / "taken").mkdir(parents=True)
+    assert run_cli([command, "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Is a directory" in err
+    # compare writes its summary before its CSV
+    assert {p.name for p in out.iterdir()} <= {"taken", "compare_summary.json"}
+
+
 def test_negative_matched_half_count_names_the_key(tmp_path, capsys):
     cfg = write_config(tmp_path, weights={"matched": {"half_count_m": -1}})
     out = tmp_path / "out"

@@ -1,8 +1,11 @@
 """The GIL-free LAPACK bindings and the two-CPU split of the Gram halves."""
 
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpocon
 
 from bandlim import (Kernel, NotPositiveDefiniteError, SampleSet, build_gram, cardinal, evaluate,
                      power_function, solve, wnorm_sq)
@@ -18,6 +22,9 @@ from bandlim.interpolate import _cardinal_values
 from conftest import split_cpus
 
 B = 1.0
+TESTS = Path(__file__).parent
+# the routines as the loader takes them where scipy.libs holds no library
+FALLBACK = _lapack._load(str(TESTS))
 
 
 @settings(max_examples=60, deadline=None)
@@ -50,6 +57,104 @@ def test_bindings_match_scipy_bitwise(n, m, definite, seed):
         reference = dtrsm(1.0, expected, rows, side=1, lower=1, trans_a=int(trans))
         assert solved.shape == reference.shape
         assert solved.tobytes(order="F") == reference.tobytes(order="F")
+
+
+def _spd_block(rng, n):
+    x = rng.standard_normal((n, n + 2))
+    return x @ x.T + 0.1 * np.eye(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_fallback_bindings_match_direct_bitwise(n, m, seed):
+    rng = np.random.default_rng(seed)
+    block = _spd_block(rng, n)
+    rhs = rng.standard_normal(n)
+    rows = np.asfortranarray(rng.standard_normal((m, n)))
+
+    def results():
+        factor = np.array(block, order="F")
+        assert _lapack.potrf(factor) == 0
+        solved = rhs.copy()
+        _lapack.potrs(factor, solved)
+        values = [factor, solved]
+        for trans in (False, True):
+            values.append(np.array(rows, order="F"))
+            _lapack.dtrsm(factor, values[-1], trans)
+        values.append(np.float64(_lapack.pocon(factor, np.abs(block).sum(axis=0).max(initial=0))))
+        return [value.tobytes(order="A") for value in values]
+
+    direct = results()
+    with patch.multiple(_lapack, **{f"_{name}": routine for name, routine in FALLBACK[1].items()}):
+        assert results() == direct
+
+
+@pytest.mark.parametrize("layout", ["no library", "not a library", "missing symbols"])
+def test_loader_falls_back_to_the_capsules(tmp_path, layout):
+    library = tmp_path / "libscipy_openblas-0.so"
+    if layout == "not a library":
+        library.write_bytes(b"")
+    elif layout == "missing symbols":
+        library.symlink_to(np._core._multiarray_umath.__file__)
+    path, routines, probe = _lapack._load(str(tmp_path))
+    assert path is None and set(routines) == set(_lapack._PROTOTYPES)
+    assert probe is None or probe() == _lapack.blas_threads()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_pocon_matches_scipy(n, seed):
+    block = _spd_block(np.random.default_rng(seed), n)
+    factor = np.array(block, order="F")
+    assert _lapack.potrf(factor) == 0
+    anorm = np.linalg.norm(block, 1)
+    expected, info = dpocon(factor, anorm, uplo="L")
+    assert info == 0
+    assert abs(_lapack.pocon(factor, anorm) - expected) <= 4 * np.finfo(float).eps * expected
+
+
+def test_pocon_of_an_empty_block():
+    assert _lapack.pocon(np.empty((0, 0), order="F"), 0.0) == 1.0
+    # N = 0: the odd half is empty, the even half is psi(0) alone
+    assert build_gram(Kernel.uniform(B), 0.5, 0).condition_estimate == pytest.approx(1.0)
+
+
+def _pocon_after_allocations():
+    """pocon of one factor at N = 1000, after each of several allocations of
+    about its work array's size, which move that array in the heap."""
+    n = 1000
+    k = np.arange(n)
+    block = 1.0 / (1.0 + np.abs(k[:, None] - k))
+    factor = np.array(block, order="F")
+    assert _lapack.potrf(factor) == 0
+    kept, values = [], []
+    for extra in range(16):
+        values.append(_lapack.pocon(factor, np.linalg.norm(block, 1)))
+        kept.append(np.empty(3 * n + 7 + extra))
+    return [float(value).hex() for value in values]
+
+
+def _fresh_python(code):
+    """The output of ``code`` in a fresh interpreter that imports bandlim and
+    these tests from this tree."""
+    path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_pocon_is_bitwise_reproducible():
+    values = _pocon_after_allocations()
+    assert len(set(values)) == 1
+    for _ in range(2):
+        code = "import test_lapack; print(*test_lapack._pocon_after_allocations())"
+        assert _fresh_python(code).split() == values
+
+
+@pytest.mark.skipif(_lapack._LIBRARY is None, reason="the loader fell back to the capsules of "
+                    "scipy.linalg: scipy.libs holds no usable libscipy_openblas")
+def test_cli_import_loads_no_scipy_module():
+    code = "import sys, bandlim.cli; print(*sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert _fresh_python(code) == "\n"
 
 
 def test_bindings_reject_arrays_they_cannot_pass():
