@@ -19,9 +19,9 @@ a tabulated density S (reciprocal weight linear between grid nodes, as
 the linear pieces. Both run over the flattened times in fixed blocks, so
 temporaries stay O(block) and peak memory is the output array; an input of
 one block or less is evaluated straight, with no loop. Past one block the
-times come in an even count of equal blocks, shared by two CPUs
-(`_parallel.run_split`) at the middle when each half of the work is large
-enough. Every value is computed from its own time alone: the spline blocks
+times are cut at the middle, and each half is evaluated in blocks from its
+own start, on a CPU of its own (`_parallel.run_split`) where the process may
+use two. Every value is computed from its own time alone: the spline blocks
 are numpy ufuncs, entry by entry, and the density grid sums over its pieces
 row by row in an ``einsum`` that makes no BLAS call. So the values are
 bitwise those of one thread, of any other blocks and of each time alone,
@@ -103,8 +103,8 @@ def psi_closed_form(kernel, t):
     """Evaluate the kernel at times ``t`` via the closed-form expression.
 
     A NaN, infinite or overflowing time raises `ValueError`. Past one block,
-    ``t`` is cut in equal blocks, an even count of them, and split at the
-    middle over two CPUs (`_parallel.run_split`) when the process may use two.
+    ``t`` is split at the middle over two CPUs (`_parallel.run_split`) when
+    the process may use two, and each half is evaluated in blocks.
     Each value depends on its own time alone, so the values are bitwise those
     of one thread, and of each time evaluated by itself.
     """
@@ -116,11 +116,6 @@ def psi_closed_form(kernel, t):
     if flat.size <= step:
         # [()] turns a 0-d result into a scalar, as the ufunc path returns
         return values(flat).reshape(t.shape)[()]
-    # an even count of equal blocks, so that the cut halves the work; on a
-    # 2-core host one block and one time of spec psi took 455 us split
-    # against 755 us inline, and of grid psi 536 against 879 us
-    pairs = -(-flat.size // (2 * step))
-    step = -(-flat.size // (2 * pairs))
     out = np.empty(flat.shape)
 
     def fill(start, stop):
@@ -128,9 +123,10 @@ def psi_closed_form(kernel, t):
             hi = min(lo + step, stop)
             out[lo:hi] = values(flat[lo:hi])
 
-    cut = step * round(flat.size / (2 * step))
+    # on a 2-core host one block and one time of spec psi took 455 us split
+    # against 755 us inline, and of grid psi 536 against 879 us
     if cpu_count() >= 2:
-        run_split(fill, [0, cut, flat.size])
+        run_split(fill, [0, flat.size // 2, flat.size])
     else:
         fill(0, flat.size)
     return out.reshape(t.shape)

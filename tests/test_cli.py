@@ -3,6 +3,10 @@ import csv
 import gc
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import tempfile
 import warnings
 import weakref
@@ -290,6 +294,100 @@ def test_output_file_that_cannot_be_opened_is_config_error(tmp_path, capsys, com
     assert err.startswith("config error: ") and "Is a directory" in err
     # compare writes its summary before its CSV
     assert {p.name for p in out.iterdir()} <= {"taken", "compare_summary.json"}
+
+
+@pytest.mark.parametrize("role", ["csv", "summary"])
+def test_compare_that_cannot_write_one_output_leaves_neither(tmp_path, capsys, role):
+    # compare once wrote its summary, failed to open its CSV and left the summary
+    cfg = write_config(tmp_path, output={role: "taken"})
+    out = tmp_path / "out"
+    (out / "taken").mkdir(parents=True)
+    assert run_cli(["compare", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert [p.name for p in out.iterdir()] == ["taken"]
+    assert not list((out / "taken").iterdir())
+
+
+def test_compare_replaces_earlier_outputs(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "compare.csv").write_text("old")
+    (out / "compare_summary.json").write_text("old")
+    assert run_cli(["compare", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["compare.csv", "compare_summary.json"]
+    assert json.loads((out / "compare_summary.json").read_text())["errors"]
+    assert (out / "compare.csv").read_text().startswith("t,truth,")
+
+
+USAGE_ERRORS = {
+    "missing --config": ["kernel", "--output-dir", "{out}"],
+    "unknown subcommand": ["kernels", "--config", "{cfg}", "--output-dir", "{out}"],
+    "no subcommand": [],
+    "non-integer --seed": ["kernel", "--config", "{cfg}", "--output-dir", "{out}",
+                           "--seed", "x"],
+    "prefix of --config": ["kernel", "--conf", "{cfg}", "--output-dir", "{out}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_2_without_output(tmp_path, capsys, case):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    argv = [arg.format(cfg=cfg, out=out) for arg in USAGE_ERRORS[case]]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err.startswith("usage: bandlim")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(COMMAND_OUTPUTS))
+def test_output_dir_that_is_a_file_is_config_error(tmp_path, capsys, command):
+    cfg = _every_command_config(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert run_cli([command, "--config", str(cfg), "--output-dir", str(blocker),
+                    "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "cfg.json", "density.csv"]
+    assert blocker.read_text() == ""
+
+
+def test_help_names_every_subcommand(capsys):
+    assert run_cli(["--help"]) == 0
+    text = capsys.readouterr().out
+    for command in COMMAND_OUTPUTS:
+        assert re.search(rf"^ +{command} ", text, re.MULTILINE), command
+
+
+def test_subcommand_help_lists_its_options(capsys):
+    assert run_cli(["kernel", "--help"]) == 0
+    text = capsys.readouterr().out
+    for option in ("--config", "--output-dir", "--seed", "--quiet"):
+        assert option in text
+
+
+def test_cli_import_loads_no_click_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, bandlim.cli; print(*sorted(m for m in sys.modules if m.startswith('click')))"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "\n"
+
+
+@pytest.mark.parametrize("command, key, overrides", [
+    ("kernel", "weights.path", {"weights": {"path": 5}}),
+    ("fit", "fit.density_csv", {"fit": {"density_csv": ["density.csv"]}}),
+])
+def test_non_string_paths_name_the_key(tmp_path, capsys, command, key, overrides):
+    # a number or a list here once ended in a TypeError traceback and exit 1
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 2
+    value = json.loads(cfg.read_text())[key.split(".")[0]][key.split(".")[1]]
+    assert capsys.readouterr().err == (
+        f"config error: {key} must be a path string, got {value!r}\n")
+    assert not out.exists()
 
 
 def test_negative_matched_half_count_names_the_key(tmp_path, capsys):

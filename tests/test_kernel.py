@@ -358,8 +358,7 @@ def test_grid_closed_form_across_block_boundaries():
 def _split_cases():
     """A spec and a grid kernel, each with sizes of t either side of one
     block and of the block edges, and the threads each should start on two
-    CPUs. Past one block the times come in an even count of equal blocks,
-    halved between the two CPUs."""
+    CPUs. Past one block the times are halved between the two CPUs."""
     _, grid = grid_example(1.0, -1.1, 1.1, 30, seed=4)
     pieces = np.count_nonzero((grid.omegas > 0) & (grid.omegas < 2.0 * np.pi)) + 1
     for kernel, step in ((Kernel.from_spec(random_weight_spec(7)), _BLOCK),
