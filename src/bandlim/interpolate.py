@@ -61,7 +61,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _lapack
 from ._parallel import run_halves
-from .kernel import _check_times, psi_closed_form, shannon_kernel
+from .kernel import _check_spacing, _check_times, psi_closed_form, shannon_kernel
 
 _SQRT_HALF = np.sqrt(0.5)
 # Entries of a `_kernel_product` block. On a 2-core host with the BLAS on one
@@ -204,9 +204,9 @@ def build_gram(kernel, T, N):
     Never fails on a matrix that does not factor: `NotPositiveDefiniteError`
     surfaces at the first use of the factor (`solve` without ridge,
     `cardinal`, `power_function`); a ridged `solve` needs only R + sigma^2 I.
+    A spacing T whose lags up to 2 N T overflow raises `ValueError` first.
     """
-    if not 0 < T < np.inf:
-        raise ValueError(f"spacing T must be finite and positive, got {T}")
+    _check_spacing(T, N, span=2)
     if N < 0:
         raise ValueError(f"half count N must be >= 0, got {N}")
     first_row = psi_closed_form(kernel, np.arange(2 * N + 1) * T)

@@ -146,6 +146,18 @@ def _check_times(t, omega, offset=0.0):
                          f"{sys.float_info.max / omega - offset:.6g} in magnitude")
 
 
+def _check_spacing(T, N, span=1):
+    """Raise `ValueError` unless the spacing T is finite and positive and the
+    multiples n T with |n| <= span N are finite: the node times for
+    ``span=1``, also their differences for ``span=2``. Checked in Python
+    floats, before any array arithmetic on T and N could overflow."""
+    if not 0 < T < np.inf:
+        raise ValueError(f"spacing T must be finite and positive, got {T}")
+    if not span * float(N) * float(T) < np.inf:
+        raise ValueError(f"spacing T={T} with half count N={N} puts the node times "
+                         "beyond the float range")
+
+
 def _spec_values(spec):
     """The psi of a weight spec as a function of one block of times, and the
     block's length in times."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interpolate import SampleSet
-from .kernel import Kernel, _check_times, psi_closed_form
+from .kernel import Kernel, _check_spacing, _check_times, psi_closed_form
 from .weights import DensityGrid, _check_bandwidth, fit_weights, gaussian_smooth, \
     normalized, power_transform, spline_spacing
 
@@ -82,9 +82,9 @@ def eval_signal(sig, t):
 
 
 def sample_signal(sig, T, N):
-    """Uniform samples x[n] = x(nT) for n = -N..N."""
-    if not 0 < T < np.inf:
-        raise ValueError(f"spacing T must be finite and positive, got {T}")
+    """Uniform samples x[n] = x(nT) for n = -N..N. A spacing T whose node
+    times N T overflow raises `ValueError` before any is computed."""
+    _check_spacing(T, N)
     n = np.arange(-N, N + 1)
     return SampleSet(spacing_T=T, values=eval_signal(sig, n * T))
 

@@ -13,11 +13,13 @@ function also uses.
 
 Randomness uses numpy's PCG64 generator (``numpy.random.default_rng``);
 realization k of a run seeded with s draws from ``default_rng([s, k])``, so
-results are reproducible for a fixed seed schedule. `squared_errors` splits
-its realizations into contiguous chunks, one per CPU in the process's
-affinity set (``taskset`` confines a run to one core). Each realization keeps
-its own generator and arithmetic, so the errors are bitwise the same on any
-number of CPUs.
+results are reproducible for a fixed seed schedule. Each realization makes
+one draw of 2 ``nfreq`` normals into a buffer of its chunk, whose halves are
+the cosine and the sine amplitudes. `squared_errors` splits its realizations
+into contiguous chunks, one per CPU in the process's affinity set
+(``taskset`` confines a run to one core), and the draws release the GIL.
+Each realization keeps its own generator and arithmetic, so the errors are
+bitwise the same on any number of CPUs.
 """
 
 import operator
@@ -26,13 +28,14 @@ import numpy as np
 
 from ._parallel import cpu_count, run_split
 from .interpolate import _cardinal_values, build_gram, evaluate, solve
-from .kernel import Kernel, _check_times, psi_closed_form
+from .kernel import Kernel, _check_spacing, _check_times, psi_closed_form
 
 SYNTHESIS_GRID_SIZE = 2048
 MSE_KINDS = ("shannon", "uniform_weight", "matched_weight")
 
-# Realizations per chunk at least. A thread costs about one realization
-# (~60 us) to start and join, and calls below twice this run inline.
+# Realizations per chunk at least. On a 2-core host a realization took about
+# 70 us and starting and joining a thread 90-110 us, some 1.5 realizations;
+# calls below twice this run inline.
 _MIN_CHUNK = 64
 
 
@@ -85,16 +88,21 @@ def squared_errors(psd, interpolator_kind, T, N, t_eval, realizations, seed,
     ``matched_weight`` (W = 1/S). Realization k draws from
     ``default_rng([seed, k])`` regardless of kind, so kinds see identical
     processes. The error is linear in the draws, ``a.c + b.s`` with c = C [r; -1],
-    s = S [r; -1] for the synthesis basis C, S at (nodes, t_eval) and row r.
-    A NaN, infinite or overflowing ``t_eval`` raises `ValueError` first.
+    s = S [r; -1] for the synthesis basis C, S at (nodes, t_eval) and row r;
+    a and b are the halves of one draw of 2 ``nfreq`` normals, bitwise the
+    two draws of ``nfreq`` (the generator keeps no normal between calls).
+    A NaN, infinite or overflowing ``t_eval``, or a spacing whose node times
+    overflow, raises `ValueError` first.
 
     The realizations are split into contiguous chunks, one per CPU in the
     process's affinity set and at least ``_MIN_CHUNK`` each; the caller fills
-    the first and one thread each the others (the normal draws release the
-    GIL). Realization k still draws from its own ``default_rng([seed, k])``,
-    so the errors are bitwise independent of the CPU count, and the first m
-    errors of a call are those of the same call with m realizations. A
-    failing chunk's exception is raised here once every thread has ended.
+    the first and one thread each the others. The one normal draw of a
+    realization releases the GIL, so the chunks trade it once per
+    realization. Realization k still draws from its own
+    ``default_rng([seed, k])``, so the errors are bitwise independent of the
+    CPU count, and the first m errors of a call are those of the same call
+    with m realizations. A failing chunk's exception is raised here once
+    every thread has ended.
     """
     if interpolator_kind not in MSE_KINDS:
         raise ValueError(f"unknown interpolator kind {interpolator_kind!r}; "
@@ -102,8 +110,7 @@ def squared_errors(psd, interpolator_kind, T, N, t_eval, realizations, seed,
     N = _count("half count N", N, least=0)
     realizations = _count("realizations", realizations)
     nfreq = _count("nfreq", nfreq)
-    if not 0 < T < np.inf:
-        raise ValueError(f"spacing T must be finite and positive, got {T}")
+    _check_spacing(T, N)
     t_eval = float(t_eval)
     if not np.isfinite(t_eval):
         raise ValueError(f"t_eval must be finite, got {t_eval}")
@@ -117,10 +124,10 @@ def squared_errors(psd, interpolator_kind, T, N, t_eval, realizations, seed,
     errors = np.empty(realizations)
 
     def fill(start, stop):
+        draws = np.empty(2 * nfreq)
+        a, b = draws[:nfreq], draws[nfreq:]
         for k in range(start, stop):
-            rng = np.random.default_rng([seed, k])
-            a = rng.standard_normal(nfreq)
-            b = rng.standard_normal(nfreq)
+            np.random.default_rng([seed, k]).standard_normal(out=draws)
             errors[k] = (a @ c + b @ s) ** 2
 
     chunks = max(1, min(cpu_count(), realizations // _MIN_CHUNK))

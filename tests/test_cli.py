@@ -449,6 +449,23 @@ def test_overflowing_finite_times_are_config_errors(tmp_path, capsys, case):
     assert not out.exists() or not list(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["mc", "compare", "bounds", "cardinals"])
+def test_spacing_whose_node_times_overflow_is_config_error(tmp_path, capsys, command):
+    # T = 5e307: mc once said "at most -inf in magnitude", the others printed
+    # numpy's overflow RuntimeWarning from n * T before exiting 2
+    cfg = write_config(tmp_path, nyquist_fraction=1e-308, ball_radius=10.0,
+                       mc={"realizations": 4})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli([command, "--config", str(cfg), "--output-dir", str(out),
+                        "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: spacing T=5e+307 with half count N=10 puts the node "
+                   "times beyond the float range\n")
+    assert not out.exists() or not list(out.iterdir())
+
+
 INTEGER_KEYS = [
     ("compare", "half_count_n", {"half_count_n": 10.7}, "10.7"),
     ("cardinals", "half_count_n", {"half_count_n": True}, "True"),

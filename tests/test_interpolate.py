@@ -64,6 +64,15 @@ class TestSampleSet:
             shannon_kernel(T, [0.1])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spacing_whose_node_times_overflow_rejected(lowfreq_signal):
+    # N T = 1e308 is finite, but the Gram lags reach 2 N T
+    with pytest.raises(ValueError, match=r"spacing T=1e\+307 with half count N=10 puts"):
+        build_gram(Kernel.uniform(B), 1e307, 10)
+    with pytest.raises(ValueError, match=r"spacing T=1e\+308 with half count N=10 puts"):
+        sample_signal(lowfreq_signal, 1e308, 10)
+
+
 class TestBuildGram:
     def test_uniform_at_critical_spacing_is_scaled_identity(self):
         T = 0.5

@@ -328,18 +328,33 @@ class TestEmpiricalMSE:
                 pytest.raises(ValueError, match="evaluation times must be finite"):
             squared_errors(lowpass_psd, kind, 1.0, 5, t_eval, 10, 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", MSE_KINDS)
+    def test_spacing_whose_node_times_overflow_rejected_before_any_evaluation(
+            self, lowpass_psd, kind):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("evaluated before T was checked")
 
-def _serial_errors(psd, kind, T, N, t_eval, realizations, seed):
-    """The Monte-Carlo loop written out: one realization after another."""
+        with patch("bandlim.interpolate.psi_closed_form", unreachable), \
+                patch("bandlim.stochastic._synthesis_basis", unreachable), \
+                pytest.raises(ValueError,
+                              match=r"spacing T=1e\+308 with half count N=10 puts"):
+            squared_errors(lowpass_psd, kind, 1e308, 10, 0.5, 10, 1)
+
+
+def _serial_errors(psd, kind, T, N, t_eval, realizations, seed,
+                   nfreq=SYNTHESIS_GRID_SIZE):
+    """The Monte-Carlo loop written out: one realization after another, with
+    two draws of ``nfreq`` normals each."""
     weights = np.append(_predictor_row(psd, kind, T, N, t_eval), -1.0)
     cos_t, sin_t = _synthesis_basis(psd, np.append(np.arange(-N, N + 1) * T, t_eval),
-                                    SYNTHESIS_GRID_SIZE)
+                                    nfreq)
     c, s = cos_t @ weights, sin_t @ weights
     errors = np.empty(realizations)
     for k in range(realizations):
         rng = np.random.default_rng([seed, k])
-        a = rng.standard_normal(SYNTHESIS_GRID_SIZE)
-        b = rng.standard_normal(SYNTHESIS_GRID_SIZE)
+        a = rng.standard_normal(nfreq)
+        b = rng.standard_normal(nfreq)
         errors[k] = (a @ c + b @ s) ** 2
     return errors
 
@@ -384,6 +399,26 @@ class TestSplitRealizations:
         expected = _serial_errors(lowpass_psd, kind, T, N, t_eval, realizations, seed)
         assert errors.tobytes() == expected.tobytes()
         assert len(starts) == max(1, min(cpus, realizations // _MIN_CHUNK)) - 1
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(MSE_KINDS), st.sampled_from([1, 2, 3, 63, 64, 2047]),
+           st.integers(2 * _MIN_CHUNK, 3 * _MIN_CHUNK), st.integers(1, 2),
+           st.integers(0, 2**32 - 1))
+    @example("matched_weight", 1, 2 * _MIN_CHUNK, 2, 0)
+    @example("shannon", 2047, 3 * _MIN_CHUNK, 2, 2**32 - 1)
+    @example("uniform_weight", 63, 2 * _MIN_CHUNK + 1, 1, 9)
+    def test_any_synthesis_size_is_the_two_draw_loop(self, lowpass_psd, kind, nfreq,
+                                                     realizations, cpus, seed):
+        # one draw of 2 nfreq normals per realization, split into its halves,
+        # must be bitwise the two draws of nfreq, in the caller and in a thread
+        T, N, t_eval = 0.8, 5, 0.37
+        with _cpus(cpus), _thread_starts() as starts:
+            errors = squared_errors(lowpass_psd, kind, T, N, t_eval, realizations, seed,
+                                    nfreq=nfreq)
+        expected = _serial_errors(lowpass_psd, kind, T, N, t_eval, realizations, seed,
+                                  nfreq=nfreq)
+        assert errors.tobytes() == expected.tobytes()
+        assert len(starts) == cpus - 1
 
     def test_one_cpu_runs_inline_with_the_same_bytes(self, lowpass_psd):
         args = (lowpass_psd, "matched_weight", 1.0, 10, 0.5, 500, 31)
