@@ -46,6 +46,8 @@ _PROTOTYPES = {
     "dtrsm": ("cython_blas",
               "void (char *, char *, char *, char *, int *, int *, d *, d *, int *, d *, int *)",
               (_CHAR, _CHAR, _CHAR, _CHAR, _INT, _INT, _DOUBLE, _PTR, _INT, _PTR, _INT)),
+    "dtrmv": ("cython_blas", "void (char *, char *, char *, int *, d *, int *, d *, int *)",
+              (_CHAR, _CHAR, _CHAR, _INT, _PTR, _INT, _PTR, _INT)),
 }
 
 
@@ -98,7 +100,7 @@ def _load_capsules():
 _LIBRARY, _ROUTINES, _THREAD_PROBE = _load(os.path.join(
     os.path.dirname(importlib.util.find_spec("scipy").submodule_search_locations[0]),
     "scipy.libs"))
-_dpotrf, _dpotrs, _dpocon, _dtrsm = (_ROUTINES[name] for name in _PROTOTYPES)
+_dpotrf, _dpotrs, _dpocon, _dtrsm, _dtrmv = (_ROUTINES[name] for name in _PROTOTYPES)
 
 
 def potrf(a):
@@ -157,6 +159,17 @@ def dtrsm(chol, b, trans):
     if m and n:
         _dtrsm(b"R", b"L", b"T" if trans else b"N", b"N", ctypes.c_int(m), ctypes.c_int(n),
                _ONE, factor, ctypes.c_int(n), data, ctypes.c_int(m))
+
+
+def dtrmv(chol, x):
+    """Overwrite the 1-d ``x`` of length n with L^T x, for the lower
+    triangular n x n ``chol`` = L (BLAS ``dtrmv``)."""
+    n = chol.shape[0]
+    factor = _address(chol, (n, n), write=False)
+    data = _address(x, (n,))
+    if n:
+        size = ctypes.c_int(n)
+        _dtrmv(b"L", b"T", b"N", size, factor, size, data, ctypes.c_int(1))
 
 
 def _address(a, shape, write=True):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _lapack
 from ._parallel import run_halves
-from .interpolate import _fold, _kernel_halves, truncated_shannon, wnorm_sq
+from .interpolate import _block, _fold, _kernel_halves, truncated_shannon, wnorm_sq
 from .kernel import _check_times
 
 POWER_CLAMP = 1e-12
@@ -143,9 +143,11 @@ def _power_sq(gram, s):
 
         run_halves(cardinal_rows, near.size * N ** 2)
         # numpy's matmul runs on a BLAS of its own, kept to the caller: a
-        # second concurrent caller would make it keep a second work buffer
-        for block, (_, a), dot in zip(gram.blocks, rows, dots):
-            np.einsum("ij,ij->i", a, a @ block, out=dot[1])
+        # second concurrent caller would make it keep a second work buffer;
+        # the Gram keeps only the factors, so each block is refilled, one at
+        # a time
+        for h, ((_, a), dot) in enumerate(zip(rows, dots)):
+            np.einsum("ij,ij->i", a, a @ _block(gram.first_row, h), out=dot[1])
         (av, a_e_a), (bv, b_o_b) = dots
         p2[near] = psi0 - 2.0 * (av + bv) + a_e_a + b_o_b
     floor = -POWER_CLAMP * max(1.0, abs(psi0))

@@ -15,8 +15,8 @@ size N+1 and an odd block of size N (Cantoni & Butler, Linear Algebra Appl.
 straight from the generator r_k = psi(kT) (`_fill_half`), and every system is
 solved by folding its right-hand side into these coordinates (`_fold`),
 solving in each half and unfolding: a quarter of the Cholesky work of R and
-half of each solve. The weighted norm c^T R c is the sum of the same
-quadratic form over the two halves of the folded c.
+half of each solve. The weighted norm c^T R c is |L^T c_h|^2 summed over the
+halves c_h of the folded c, for the Cholesky factor L L^T of each half.
 
 The two halves are independent, so `build_gram` fills and factors each half
 (`_factor_halves`), `solve` and `cardinal_coeffs` solve each half
@@ -24,13 +24,17 @@ The two halves are independent, so `build_gram` fills and factors each half
 the odd one in a worker thread (`_parallel.run_halves`) when the work is large
 enough, the process may use two CPUs and the BLAS runs one thread. Each half's
 arithmetic, and the order in which the halves are combined, are the same either
-way, so the results are bitwise those of one thread. The factor of a half
-starts from a Fortran-ordered copy of its block, one memcpy of the transpose,
-which the exact symmetry of the block makes the block itself. The LAPACK and
-BLAS calls, the condition estimate's ``dpocon`` too, go through `_lapack`:
-ctypes bindings to the OpenBLAS that scipy bundles, which release the GIL for
-each call where scipy's f2py wrappers keep it. The solves of
-`_cardinal_values` and the quadratic forms of `wnorm_sq` stay in the caller.
+way, so the results are bitwise those of one thread. Each half is filled
+straight into the storage of its factor, the C-ordered transpose of a
+Fortran-ordered array, which the exact symmetry of the block makes the block
+itself, and factored there in place: a `GramMatrix` holds each half once. The
+few readers of a whole block (the condition estimate, a ridged solve and the
+second stage of the power function) refill it from the first row. The LAPACK
+and BLAS calls, the condition estimate's ``dpocon`` too, go through
+`_lapack`: ctypes bindings to the OpenBLAS that scipy bundles, which release
+the GIL for each call where scipy's f2py wrappers keep it. The solves of
+`_cardinal_values` and the triangular products of `wnorm_sq` stay in the
+caller.
 
 Every reader of the kernel rows psi(t_j - nT), n = -N..N, one row per point,
 takes them from one walk, `_kernel_rows`, a block of rows at a time, so the
@@ -55,6 +59,7 @@ whatever the points.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -130,11 +135,14 @@ class GramMatrix:
     """Kernel Gram system for one (kernel, T, N) configuration.
 
     The symmetric Toeplitz matrix R = psi((m - n) T) is held only as its
-    generator ``first_row`` (r_k = psi(kT), k = 0..2N) and its even and odd
-    ``blocks`` (`_fill_half`), all read-only. ``cholesky`` holds the lower
-    Cholesky factors of the two blocks, or None when either block is not
-    numerically positive definite; every use goes through `factor`, which
-    then raises. The condition estimate is computed only when read
+    generator ``first_row`` (r_k = psi(kT), k = 0..2N) and ``cholesky``, the
+    lower Cholesky factors of its even and odd blocks (`_fill_half`), each
+    factored in the storage its block was filled in, so that its strict upper
+    triangle is still the block's; all are read-only. ``cholesky`` is None
+    when either block is not numerically positive definite; every use goes
+    through `factor`, which then raises. The few readers of a whole block
+    refill a copy from ``first_row`` (`_block`), bitwise the block that was
+    factored. The condition estimate is computed at its first read and kept
     (`condition_estimate`).
     """
 
@@ -142,7 +150,6 @@ class GramMatrix:
     spacing_T: float
     half_count_N: int
     first_row: np.ndarray
-    blocks: tuple
     cholesky: object
 
     @property
@@ -153,7 +160,7 @@ class GramMatrix:
     def times(self):
         return np.arange(-self.half_count_N, self.half_count_N + 1) * self.spacing_T
 
-    @property
+    @cached_property
     def condition_estimate(self):
         """1-norm estimate of the condition number of diag(E, O), or without
         a factor the ratio of extreme |eigenvalues| of the two halves.
@@ -164,16 +171,17 @@ class GramMatrix:
         """
         if self.cholesky is not None:
             norm = inverse_norm = 0.0
-            for block, chol in zip(self.blocks, self.cholesky):
-                if block.size:  # the empty odd block of N = 0 has no 1-norm
-                    block_norm = np.linalg.norm(block, 1)
+            for h, chol in enumerate(self.cholesky):
+                if chol.size:  # the empty odd block of N = 0 has no 1-norm
+                    block_norm = np.linalg.norm(_block(self.first_row, h), 1)
                     rcond = _lapack.pocon(chol, block_norm)
                     if rcond == 0.0:
                         return float("inf")
                     norm = max(norm, block_norm)
                     inverse_norm = max(inverse_norm, 1.0 / (rcond * block_norm))
             return float(norm * inverse_norm)
-        eigs = np.abs(np.concatenate([np.linalg.eigvalsh(block) for block in self.blocks]))
+        eigs = np.abs(np.concatenate([np.linalg.eigvalsh(_block(self.first_row, h))
+                                      for h in (0, 1)]))
         return float("inf") if np.min(eigs) == 0.0 else float(np.max(eigs) / np.min(eigs))
 
     def factor(self):
@@ -211,12 +219,8 @@ def build_gram(kernel, T, N):
         raise ValueError(f"half count N must be >= 0, got {N}")
     first_row = psi_closed_form(kernel, np.arange(2 * N + 1) * T)
     first_row.setflags(write=False)
-    blocks = (np.empty((N + 1, N + 1)), np.empty((N, N)))
-    cholesky = _factor_halves(blocks, lambda h: _fill_half(first_row, h, blocks[h]))
-    for block in blocks:
-        block.setflags(write=False)
     return GramMatrix(kernel=kernel, spacing_T=T, half_count_N=N, first_row=first_row,
-                      blocks=blocks, cholesky=cholesky)
+                      cholesky=_factor_halves(first_row))
 
 
 def solve(gram, samples, ridge_sigma2=0.0):
@@ -234,10 +238,7 @@ def solve(gram, samples, ridge_sigma2=0.0):
     if not np.isclose(samples.spacing_T, gram.spacing_T, rtol=1e-12, atol=0.0):
         raise ValueError("sample spacing does not match the Gram system")
     if ridge_sigma2 > 0:
-        blocks = [block.copy() for block in gram.blocks]
-        for block in blocks:
-            block[np.diag_indices_from(block)] += ridge_sigma2
-        halves = _factor_halves(blocks)
+        halves = _factor_halves(gram.first_row, ridge_sigma2)
         if halves is None:
             raise NotPositiveDefiniteError(
                 "ridge-augmented Gram matrix failed to factor",
@@ -321,26 +322,43 @@ def _fill_half(r, h, block):
     block[0, 0] = r[0]
 
 
-def _factor_halves(blocks, fill=None):
-    """The lower Cholesky factor of each block, Fortran-ordered with the
-    block's upper triangle left as it is (as ``cho_factor`` leaves it), or
-    None when one of them is not numerically positive definite.
+def _block(r, h):
+    """A new C-ordered even (h = 0) or odd (h = 1) block of the generator r
+    (`_fill_half`), for the few readers of a whole block."""
+    N = r.size // 2
+    block = np.empty((N + 1 - h, N + 1 - h))
+    _fill_half(r, h, block)
+    return block
 
-    ``fill(h)``, when given, first fills block h, in the same thread as its
-    factor. A block is exactly symmetric, so its transpose, a Fortran-ordered
-    copy made by one memcpy, holds the same values.
+
+def _factor_halves(r, ridge=0.0):
+    """The read-only lower Cholesky factors of the even and odd blocks of the
+    generator r, with ``ridge`` added to their diagonals, or None when one of
+    them is not numerically positive definite.
+
+    Each half is filled (`_fill_half`) and factored in one thread, in place:
+    the block is filled into the C-ordered transpose of its Fortran-ordered
+    factor, which its exact symmetry makes the block itself, and ``dpotrf``
+    overwrites the lower triangle and leaves the strict upper one as it is
+    (as ``cho_factor`` leaves it).
     """
-    factors = [np.empty(block.shape, order="F") for block in blocks]
+    N = r.size // 2
+    factors = (np.empty((N + 1, N + 1), order="F"), np.empty((N, N), order="F"))
     infos = [0, 0]
 
     def factor(h):
-        if fill is not None:
-            fill(h)
-        np.copyto(factors[h].T, blocks[h])
+        block = factors[h].T
+        _fill_half(r, h, block)
+        if ridge:
+            block[np.diag_indices_from(block)] += ridge
         infos[h] = _lapack.potrf(factors[h])
 
-    run_halves(factor, factors[1].shape[0] ** 3 / 3)
-    return None if any(infos) else tuple(factors)
+    run_halves(factor, N ** 3 / 3)
+    if any(infos):
+        return None
+    for chol in factors:
+        chol.setflags(write=False)
+    return factors
 
 
 def _fold(x):
@@ -491,18 +509,35 @@ def _lattice_rows(kernel, flat, T, N):
 
 
 def truncated_shannon(samples, t):
-    """Classical truncated interpolation sum_n x[n] sinc(t/T - n). A NaN,
-    infinite or overflowing time raises `ValueError`."""
+    """Classical truncated interpolation sum_n x[n] sinc(t/T - n), with the
+    shape of ``t``. A NaN, infinite or overflowing time raises `ValueError`.
+
+    The sinc rows are formed and multiplied ``_BLOCK_ROWS`` points at a time,
+    so the memory is a block whatever the points. The blocks start at
+    multiples of it, where the BLAS matrix-vector product keeps each row's
+    arithmetic, and a last block of one row joins the one before, which a
+    one-row product would sum as a plain dot: the values are bitwise those of
+    one product of the whole matrix with the BLAS on one thread.
+    """
     t = np.asarray(t, dtype=float)
     T = samples.spacing_T
     _check_times(t, np.pi / T, samples.half_count_N * T)
-    sinc_mat = shannon_kernel(T, t[..., None] - samples.times)
-    return sinc_mat @ samples.values
+    flat = t.ravel()
+    out = np.empty(flat.size)
+    cuts = [*range(0, max(flat.size - 1, 1), _BLOCK_ROWS), flat.size]
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        np.matmul(shannon_kernel(T, flat[start:stop, None] - samples.times), samples.values,
+                  out=out[start:stop])
+    return out.reshape(t.shape)[()]
 
 
 def wnorm_sq(interp):
-    """Squared weighted-space norm of the interpolant, c^T R c, summed over
-    the even and odd halves of the folded c."""
-    return float(sum(part @ (block @ part)
-                     for block, part in zip(interp.gram.blocks, _fold(interp.coeffs_c))))
+    """Squared weighted-space norm of the interpolant, c^T R c, as
+    sum_h |L_h^T c_h|^2 over the folded halves c_h of c and the Cholesky
+    factors L_h L_h^T of the halves of R (``dtrmv``). A Gram that does not
+    factor raises `NotPositiveDefiniteError`, under a ridged interpolant too."""
+    parts = _fold(interp.coeffs_c)
+    for part, chol in zip(parts, interp.gram.factor()):
+        _lapack.dtrmv(chol, part)
+    return float(sum(part @ part for part in parts))
 

@@ -10,8 +10,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from bandlim import (AnalyticSignal, InfeasibleBallError, Kernel, NotPositiveDefiniteError,
                      SampleSet, build_gram, evaluate, eval_signal, minimax_worstcase,
                      power_function, psi_closed_form, sample_signal,
-                     sinc_partition_check, solve, weighted_pointwise_bound,
-                     wnorm_sq)
+                     sinc_partition_check, solve, truncated_shannon,
+                     weighted_pointwise_bound, wnorm_sq)
 from bandlim import _lapack, interpolate
 from bandlim.interpolate import _cardinal_values
 from conftest import (classical_bound, dense_gram, dense_kernel_matrix, dense_power_sq,
@@ -280,6 +280,22 @@ def test_power_function_memory_is_a_few_blocks(lowpass_kernel, grid):
         tracemalloc.stop()
     assert np.all(np.isfinite(p))
     block = interpolate._BLOCK_ROWS * gram.size * np.dtype(float).itemsize
+    assert peak < MEMORY_BLOCKS * block
+
+
+def test_truncated_shannon_memory_is_a_few_blocks():
+    # the whole (160,001, 401) sinc matrix alone is 513 MB
+    N = 200
+    samples = SampleSet(1.0, np.cos(0.3 * np.arange(-N, N + 1)))
+    t = np.linspace(-200.0, 200.0, 160_001)
+    tracemalloc.start()
+    try:
+        x = truncated_shannon(samples, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(x))
+    block = interpolate._BLOCK_ROWS * samples.values.size * np.dtype(float).itemsize
     assert peak < MEMORY_BLOCKS * block
 
 

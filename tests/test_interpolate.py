@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import contextmanager
 from unittest.mock import patch
 
@@ -13,7 +14,7 @@ from bandlim import (Kernel, NotPositiveDefiniteError, PSDModel, SampleSet,
                      evaluate, inverse_weight_eval, power_function,
                      psi_closed_form, sample_signal, shannon_kernel, solve,
                      squared_errors, truncated_shannon, wnorm_sq)
-from bandlim.interpolate import _cardinal_values, _fill_half, _fold, _unfold
+from bandlim.interpolate import _block, _cardinal_values, _fill_half, _fold, _unfold
 from conftest import (TOL_ULPS, dense_gram, dense_kernel_matrix, dense_power_sq, grid_kernel,
                       grid_kernel_reference, kernel_rows, lattice_tolerance,
                       random_weight_spec)
@@ -91,8 +92,32 @@ class TestBuildGram:
         assert np.array_equal(d, d.T)
         np.testing.assert_array_equal(np.diag(d, 1), np.full(8, d[0, 1]))
         np.testing.assert_array_equal(gram.first_row, d[0])
-        for block in gram.blocks:
+        for h in (0, 1):
+            block = _block(gram.first_row, h)
             assert np.array_equal(block, block.T)
+
+    def test_gram_holds_each_half_once(self):
+        # the first row and the two half factors, each block filled and
+        # factored in one array, and a few object headers; a copy of each
+        # block beside its factor would double it
+        N = 300
+        kernel = Kernel.uniform(B)
+        tracemalloc.start()
+        try:
+            gram = build_gram(kernel, 0.8 / B, N)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gram.cholesky is not None
+        assert retained <= 8 * ((N + 1) ** 2 + N ** 2 + 2 * N + 1) + 4096
+
+    def test_condition_estimate_is_computed_once(self, lowpass_kernel):
+        gram = build_gram(lowpass_kernel, 0.7 / (2 * B), 10)
+        with patch.object(interpolate_module._lapack, "pocon",
+                          wraps=interpolate_module._lapack.pocon) as pocon:
+            first = gram.condition_estimate
+            assert gram.condition_estimate == first
+        assert pocon.call_count == 2
 
     def test_condition_grows_as_spacing_shrinks(self, lowpass_kernel):
         # oversampling makes the system progressively ill-conditioned
@@ -147,6 +172,10 @@ FACTOR_USES = {
         PSDModel.uniform(B, 1.0), "matched_weight", DENSE_T, DENSE_N, 0.1, 2, 1),
     "squared_errors_uniform": lambda gram: squared_errors(
         PSDModel.uniform(B, 1.0), "uniform_weight", DENSE_T, DENSE_N, 0.1, 2, 1),
+    # the weighted norm is read off the factors of R, which a ridged solve
+    # does not need
+    "wnorm_sq_ridged": lambda gram: wnorm_sq(
+        solve(gram, SampleSet(DENSE_T, np.ones(2 * DENSE_N + 1)), ridge_sigma2=1e-6)),
 }
 
 
@@ -332,6 +361,17 @@ class TestTruncatedShannon:
         samples = SampleSet(0.5, np.ones(5))
         with pytest.raises(ValueError, match="evaluation times must be finite"):
             truncated_shannon(samples, t)
+
+    @pytest.mark.parametrize("N", [10, 20])
+    @pytest.mark.parametrize("count", [1023, 1024, 1025, 2049, 3001])
+    def test_blocks_match_one_product_bitwise(self, N, count):
+        # blocks of `_BLOCK_ROWS` rows, the last one longer by a lone row
+        T = 0.7
+        rng = np.random.default_rng(count + N)
+        samples = SampleSet(T, rng.standard_normal(2 * N + 1))
+        t = np.sort(rng.uniform(-(N + 2) * T, (N + 2) * T, count))
+        whole = shannon_kernel(T, t[:, None] - samples.times) @ samples.values
+        assert truncated_shannon(samples, t).tobytes() == whole.tobytes()
 
 
 class TestWeightedNorm:
@@ -846,3 +886,18 @@ def test_halves_match_toeplitz(r):
     fold_even, fold_odd = _fold(np.eye(r.size))
     np.testing.assert_allclose(_unfold(even @ fold_even, odd @ fold_odd), toeplitz(r),
                                rtol=0, atol=4.0 * np.finfo(float).eps * np.max(np.abs(r)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix_kernels(), st.sampled_from([0.5, 0.75, 1.0, 1.3]), st.integers(0, 12))
+@example(Kernel.uniform(1.0), 1.0, 0)
+def test_factors_keep_the_upper_triangle_of_their_blocks(kernel, ratio, N):
+    # each half is filled into its factor's storage and factored in place, so
+    # a block refilled from the first row is the strict upper triangle left
+    # there, bitwise
+    gram = build_gram(kernel, ratio / (2.0 * kernel.bandwidth_B), N)
+    assume(gram.cholesky is not None)
+    for h, chol in enumerate(gram.cholesky):
+        assert not chol.flags.writeable and chol.flags.f_contiguous
+        block = _block(gram.first_row, h)
+        assert np.triu(block, 1).tobytes() == np.triu(chol, 1).tobytes()

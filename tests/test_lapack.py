@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dtrmv, dtrsm
 from scipy.linalg.lapack import dpocon
 
 from bandlim import (Kernel, NotPositiveDefiniteError, SampleSet, build_gram, cardinal, evaluate,
@@ -57,6 +57,11 @@ def test_bindings_match_scipy_bitwise(n, m, definite, seed):
         reference = dtrsm(1.0, expected, rows, side=1, lower=1, trans_a=int(trans))
         assert solved.shape == reference.shape
         assert solved.tobytes(order="F") == reference.tobytes(order="F")
+    product = rhs.copy()
+    _lapack.dtrmv(factor, product)
+    # scipy's wrapper rejects an empty vector
+    reference = dtrmv(expected, rhs, lower=1, trans=1) if n else rhs
+    assert product.tobytes() == reference.tobytes()
 
 
 def _spd_block(rng, n):
@@ -81,6 +86,8 @@ def test_fallback_bindings_match_direct_bitwise(n, m, seed):
         for trans in (False, True):
             values.append(np.array(rows, order="F"))
             _lapack.dtrsm(factor, values[-1], trans)
+        values.append(rhs.copy())
+        _lapack.dtrmv(factor, values[-1])
         values.append(np.float64(_lapack.pocon(factor, np.abs(block).sum(axis=0).max(initial=0))))
         return [value.tobytes(order="A") for value in values]
 
