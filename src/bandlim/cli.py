@@ -22,8 +22,8 @@ from .interpolate import NotPositiveDefiniteError, build_gram, cardinal, \
 from .kernel import Kernel, psi_closed_form, shannon_kernel
 from .signals import AnalyticSignal, eval_signal, matched_weights, sample_signal
 from .stochastic import MSE_KINDS, squared_errors
-from .weights import DensityGrid, WeightFitError, WeightSpec, fit_weights, \
-    identity_transform, power_transform
+from .weights import DensityGrid, WeightFitError, WeightSpec, _integer, _lookup, _number, \
+    fit_weights, identity_transform, power_transform
 
 COMPARE_KINDS = ("weighted", "uniform", "sinc")
 
@@ -228,40 +228,6 @@ def _config_relative(cfg, key, name):
     if not isinstance(name, str):
         raise ConfigError(f"{key} must be a path string, got {name!r}")
     return Path(cfg["_config_dir"], name)
-
-
-def _lookup(section, name, default):
-    """The config key ``name`` (dotted; its last part is the key in
-    ``section``), or ``default`` when it is absent (required if None)."""
-    key = name.rpartition(".")[2]
-    if key not in section:
-        if default is None:
-            raise ConfigError(f"missing config key {name!r}")
-        return default
-    return section[key]
-
-
-def _number(section, name, default=None):
-    """The real config key ``name``, as `_lookup` finds it, as a float. An
-    int or a float passes; a bool or a string does not."""
-    value = _lookup(section, name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ConfigError(f"{name} is out of range: {exc}") from exc
-
-
-def _integer(section, name, default=None):
-    """The integer config key ``name``, as `_lookup` finds it. JSON may write
-    10 as 10.0, so an integral float passes; a bool does not."""
-    value = _lookup(section, name, default)
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value}")
-    if not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} is invalid: expected an integer, got {value!r}")
-    return int(value)
 
 
 def _bandwidth(cfg):

@@ -38,24 +38,26 @@ caller.
 
 Every reader of the kernel rows psi(t_j - nT), n = -N..N, one row per point,
 takes them from one walk, `_kernel_rows`, a block of rows at a time, so the
-kernel matrix of all the points never exists. The walk checks the times once
-and lays out the rows once for all the points: `_lattice_rows` groups the
-points by residue of t mod T, one run of psi per group, and pairs the residues
-r and T - r (psi is even), so each row is a window of a run and a grid
-symmetric about 0 evaluates about half the runs; points that share no residue
-take direct psi rows. A psi value depends on its own time alone, and
-`evaluate` and `cardinal` need only the dot of each row with one vector
-(`_kernel_product`, ``np.vecdot``, in blocks of about 2^16 entries), so their
-values do not depend on where the blocks are cut. The cardinals and the power
-function fold each block of ``_BLOCK_ROWS`` rows into the halves and solve it
-in place from the right by the Cholesky factor L of each half
-(`_kernel_halves`): first w = v L^{-T}, whose squared row norms, summed over
-the halves, are the Schur term v R^{-1} v of the power function, then the
-cardinal values u = w L^{-1}. `_cardinal_values` takes both stages on every
-row, `bounds.power_function` the second only on the rows near the nodes.
-Each block is dropped before the next is made, so malloc hands its memory to
-the next block instead of new pages, and the memory of a walk is a few blocks
-whatever the points.
+kernel matrix of all the points never exists. It reads the kernel, T and N
+and no Gram, so truncated sinc, the expansion of the samples over the kernel
+whose psi is sinc(tau/T) (`_sinc_kernel`), builds none. The walk checks the
+times once and lays out the rows once for all the points: `_lattice_rows`
+groups the points by residue of t mod T, one run of psi per group, and pairs
+the residues r and T - r (psi is even), so each row is a window of a run and
+a grid symmetric about 0 evaluates about half the runs; points that share no
+residue take direct psi rows. A psi value depends on its own time alone, and
+`evaluate`, `cardinal` and `truncated_shannon` need only the dot of each row
+with one vector (`_kernel_product`, ``np.vecdot``, in blocks of about 2^16
+entries), so their values do not depend on where the blocks are cut. The
+cardinals and the power function fold each block of ``_BLOCK_ROWS`` rows into
+the halves and solve it in place from the right by the Cholesky factor L of
+each half (`_kernel_halves`): first w = v L^{-T}, whose squared row norms,
+summed over the halves, are the Schur term v R^{-1} v of the power function,
+then the cardinal values u = w L^{-1}. `_cardinal_values` takes both stages
+on every row, `bounds.power_function` the second only on the rows near the
+nodes. Each block is dropped before the next is made, so malloc hands its
+memory to the next block instead of new pages, and the memory of a walk is a
+few blocks whatever the points.
 """
 
 from dataclasses import dataclass
@@ -66,7 +68,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _lapack
 from ._parallel import run_halves
-from .kernel import _check_spacing, _check_times, psi_closed_form, shannon_kernel
+from .kernel import Kernel, _check_spacing, _check_times, psi_closed_form
 
 _SQRT_HALF = np.sqrt(0.5)
 # Entries of a `_kernel_product` block. On a 2-core host with the BLAS on one
@@ -253,7 +255,8 @@ def solve(gram, samples, ridge_sigma2=0.0):
 def evaluate(interp, t):
     """Evaluate the kernel expansion sum_n c_n psi(t - n T) at ``t``,
     broadcast over its shape."""
-    return _kernel_product(interp.gram, t, interp.coeffs_c)
+    gram = interp.gram
+    return _kernel_product(gram.kernel, gram.spacing_T, gram.half_count_N, t, interp.coeffs_c)
 
 
 def cardinal_coeffs(gram, n):
@@ -269,7 +272,7 @@ def cardinal_coeffs(gram, n):
 
 def cardinal(gram, n, t):
     """Cardinal interpolation function u_n(t), satisfying u_n(mT) = delta[n-m]."""
-    return _kernel_product(gram, t, cardinal_coeffs(gram, n))
+    return evaluate(Interpolant(gram, cardinal_coeffs(gram, n)), t)
 
 
 def _cardinal_values(gram, t):
@@ -294,7 +297,8 @@ def _kernel_halves(gram, flat):
     caller factors the Gram first. A last block of one row joins the one
     before: ``einsum`` sums the squares of a lone row in another order."""
     cuts = [*range(0, max(flat.size - 1, 1), _BLOCK_ROWS), flat.size]
-    for start, stop, rows in _kernel_rows(gram, flat, cuts):
+    for start, stop, rows in _kernel_rows(gram.kernel, gram.spacing_T, gram.half_count_N,
+                                          flat, cuts):
         yield start, stop, rows, [v.T for v in _fold(rows.T)]
         del rows
 
@@ -398,14 +402,13 @@ def _solve_halves(halves, x):
     return _unfold(*parts)
 
 
-def _kernel_rows(gram, flat, cuts):
+def _kernel_rows(kernel, T, N, flat, cuts):
     """Yield ``(start, stop, rows)`` for each consecutive pair of ``cuts``,
     with ``rows`` the C-ordered kernel rows psi(flat[j] - nT), n = -N..N, of
     the 1-d ``flat`` from start to stop: windows of the lattice runs of
     `_lattice_rows` for all of ``flat``, or direct psi rows. A NaN, infinite
     or overflowing time raises `ValueError` first (`kernel._check_times`). A
     caller drops each block before the next, so malloc reuses its memory."""
-    kernel, T, N = gram.kernel, gram.spacing_T, gram.half_count_N
     # psi's top frequency 2 pi B, or the 1/T of the residues t mod T
     _check_times(flat, max(2.0 * np.pi * kernel.bandwidth_B, np.pi / T), N * T)
     windows, index = _lattice_rows(kernel, flat, T, N) or (None, None)
@@ -415,15 +418,15 @@ def _kernel_rows(gram, flat, cuts):
                             else psi_closed_form(kernel, flat[start:stop, None] - nodes))
 
 
-def _kernel_product(gram, t, c):
-    """sum_n c_n psi(t - nT) over the nodes of ``gram``, with the shape of
-    ``t``, a block of kernel rows of about ``_PRODUCT_ENTRIES`` entries at a
-    time, each row its own dot product."""
+def _kernel_product(kernel, T, N, t, c):
+    """sum_n c_n psi(t - nT), n = -N..N, with the shape of ``t``, a block of
+    kernel rows of about ``_PRODUCT_ENTRIES`` entries at a time, each row its
+    own dot product."""
     t = np.asarray(t, dtype=float)
     flat = t.ravel()
     out = np.empty(flat.size)
-    cuts = [*range(0, flat.size, max(1, _PRODUCT_ENTRIES // gram.size)), flat.size]
-    for start, stop, rows in _kernel_rows(gram, flat, cuts):
+    cuts = [*range(0, flat.size, max(1, _PRODUCT_ENTRIES // (2 * N + 1))), flat.size]
+    for start, stop, rows in _kernel_rows(kernel, T, N, flat, cuts):
         np.vecdot(rows, c, out=out[start:stop])
         del rows
     return out.reshape(t.shape)[()]
@@ -448,8 +451,9 @@ def _lattice_rows(kernel, flat, T, N):
     as many values as the rows (no two points share a residue), it is None.
     """
     width = 2 * N + 1
-    if flat.size > 1:
-        tol = 4.0 * np.spacing(np.max(np.abs(flat)) + T)
+    # past the float range max|t| + T leaves no tolerance: direct rows
+    if flat.size > 1 and (reach := float(np.max(np.abs(flat))) + T) < np.inf:
+        tol = 4.0 * np.spacing(reach)
         m = np.floor(flat / T)
         r = flat - m * T
         # a residue just below T is the class of residue 0, one period on
@@ -508,27 +512,18 @@ def _lattice_rows(kernel, flat, T, N):
     return None
 
 
+def _sinc_kernel(T):
+    """The flat kernel of level T on the band 1/(2T): psi(tau) = sinc(tau/T) to rounding."""
+    return Kernel.uniform(0.5 / T, level=T)
+
+
 def truncated_shannon(samples, t):
     """Classical truncated interpolation sum_n x[n] sinc(t/T - n), with the
-    shape of ``t``. A NaN, infinite or overflowing time raises `ValueError`.
-
-    The sinc rows are formed and multiplied ``_BLOCK_ROWS`` points at a time,
-    so the memory is a block whatever the points. The blocks start at
-    multiples of it, where the BLAS matrix-vector product keeps each row's
-    arithmetic, and a last block of one row joins the one before, which a
-    one-row product would sum as a plain dot: the values are bitwise those of
-    one product of the whole matrix with the BLAS on one thread.
-    """
-    t = np.asarray(t, dtype=float)
+    shape of ``t``: the expansion of the samples over `_sinc_kernel`, summed
+    block by block by the walk of `evaluate` (`_kernel_product`), with no
+    Gram. A NaN, infinite or overflowing time raises `ValueError`."""
     T = samples.spacing_T
-    _check_times(t, np.pi / T, samples.half_count_N * T)
-    flat = t.ravel()
-    out = np.empty(flat.size)
-    cuts = [*range(0, max(flat.size - 1, 1), _BLOCK_ROWS), flat.size]
-    for start, stop in zip(cuts[:-1], cuts[1:]):
-        np.matmul(shannon_kernel(T, flat[start:stop, None] - samples.times), samples.values,
-                  out=out[start:stop])
-    return out.reshape(t.shape)[()]
+    return _kernel_product(_sinc_kernel(T), T, samples.half_count_N, t, samples.values)
 
 
 def wnorm_sq(interp):

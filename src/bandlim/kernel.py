@@ -165,7 +165,8 @@ def _spec_values(spec):
     A = spec.spacing_A
     M = spec.half_count_M
     d = spec.coeffs_d
-    floor = 2.0 * spec.floor_alpha * B
+    # 2 B first: the bits of 2 alpha B, finite for a sinc kernel's level T up to max float
+    floor = 2.0 * B * spec.floor_alpha
     # the flat spec has no spline mass: its kernel is the floor term alone
     if not d.any():
         return (lambda tb: floor * np.sinc(2.0 * B * tb)), _BLOCK
@@ -276,8 +277,7 @@ def psi_quadrature(kernel, t, tolerance=DEFAULT_TOLERANCE):
 def shannon_kernel(T, t):
     """Classical interpolation kernel sinc(t/T) with sinc(0) = 1. A NaN,
     infinite or overflowing time raises `ValueError`."""
-    if not 0 < T < np.inf:
-        raise ValueError(f"spacing T must be finite and positive, got {T}")
+    _check_spacing(T, 0)
     t = np.asarray(t, dtype=float)
     _check_times(t, np.pi / T)
     return np.sinc(t / T)

@@ -8,8 +8,8 @@ grid, or a flat level, the last the flat spec of `Kernel.uniform`), R is
 `psi_closed_form` of it, and the linear minimum-mean-squared-error estimate
 of the process from its samples is the weighted interpolant of that kernel.
 `PSDModel` only names the three constructors. A Monte-Carlo predictor is one
-row of node weights, truncated sinc or the cardinal values that the power
-function also uses.
+row of node weights, the sinc kernel's row (that of `truncated_shannon`) or
+the cardinal values that the power function also uses.
 
 Randomness uses numpy's PCG64 generator (``numpy.random.default_rng``);
 realization k of a run seeded with s draws from ``default_rng([s, k])``, so
@@ -27,7 +27,8 @@ import operator
 import numpy as np
 
 from ._parallel import cpu_count, run_split
-from .interpolate import _cardinal_values, build_gram, evaluate, solve
+from .interpolate import _cardinal_values, _kernel_rows, _sinc_kernel, build_gram, evaluate, \
+    solve
 from .kernel import Kernel, _check_spacing, _check_times, psi_closed_form
 
 SYNTHESIS_GRID_SIZE = 2048
@@ -147,9 +148,11 @@ def _count(name, value, least=1):
 
 
 def _predictor_row(psd, kind, T, N, t_eval):
-    """Weights of the node samples x[-N..N] in the estimate at t_eval."""
+    """Weights of the node samples x[-N..N] in the estimate at t_eval: the
+    sinc kernel's row, the weights of `truncated_shannon`, or the cardinals."""
     if kind == "shannon":
-        return np.sinc(t_eval / T - np.arange(-N, N + 1))
+        ((_, _, row),) = _kernel_rows(_sinc_kernel(T), T, N, np.array([t_eval]), [0, 1])
+        return row[0]
     kern = Kernel.uniform(psd.bandwidth_B) if kind == "uniform_weight" else psd
     return _cardinal_values(build_gram(kern, T, N), t_eval)
 

@@ -122,16 +122,17 @@ class WeightSpec:
 
     @classmethod
     def from_dict(cls, doc):
-        try:
-            return cls(
-                bandwidth_B=float(doc["bandwidth_B"]),
-                degree_K=int(doc["degree_K"]),
-                half_count_M=int(doc["half_count_M"]),
-                coeffs_d=np.asarray(doc["coeffs_d"], dtype=float),
-                floor_alpha=float(doc["floor_alpha"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"weight document missing key {exc}") from exc
+        """The spec of a `to_dict` document. One that is not an object, lacks
+        a key or has a field of the wrong type (`_integer`, `_number`;
+        ``coeffs_d`` a list of numbers) raises `ValueError`."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"weight document must be a JSON object, got {type(doc).__name__}")
+        if not isinstance(coeffs := _lookup(doc, "coeffs_d"), list):
+            raise ValueError(f"coeffs_d must be a list of numbers, got {coeffs!r}")
+        # each entry is read as a number field of its own
+        d = np.array([_number({"coeffs_d": v}, "coeffs_d") for v in coeffs])
+        return cls(_number(doc, "bandwidth_B"), _integer(doc, "degree_K"),
+                   _integer(doc, "half_count_M"), d, _number(doc, "floor_alpha"))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -184,6 +185,40 @@ class DensityGrid:
                 omegas.append(float(row[0]))
                 values.append(float(row[1]))
         return cls(np.asarray(omegas), np.asarray(values))
+
+
+def _lookup(doc, name, default=None):
+    """The field ``name`` of a JSON object ``doc`` (dotted; its last part is
+    the key), or ``default`` when it is absent (required if None)."""
+    key = name.rpartition(".")[2]
+    if key not in doc:
+        if default is None:
+            raise ValueError(f"missing key {name!r}")
+        return default
+    return doc[key]
+
+
+def _number(doc, name, default=None):
+    """The real field ``name`` of ``doc`` (`_lookup`) as a float. An int or a
+    float passes; a bool or a string does not."""
+    value = _lookup(doc, name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{name} is out of range: {exc}") from exc
+
+
+def _integer(doc, name, default=None):
+    """The integer field ``name`` of ``doc`` (`_lookup`) as an int. JSON may
+    write 10 as 10.0, so an integral float passes; a bool does not."""
+    value = _lookup(doc, name, default)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if not isinstance(value, (int, float)):
+        raise ValueError(f"{name} is invalid: expected an integer, got {value!r}")
+    return int(value)
 
 
 def _check_bandwidth(bandwidth_B):

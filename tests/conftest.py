@@ -115,7 +115,8 @@ def kernel_rows(gram, t):
     `interpolate._kernel_rows` gives them in one block that spans every
     point, with shape ``t.shape + (2N+1,)``."""
     t = np.asarray(t, dtype=float)
-    ((_, _, rows),) = interpolate._kernel_rows(gram, t.ravel(), [0, t.size])
+    ((_, _, rows),) = interpolate._kernel_rows(gram.kernel, gram.spacing_T, gram.half_count_N,
+                                               t.ravel(), [0, t.size])
     return rows.reshape(t.shape + (gram.size,))
 
 

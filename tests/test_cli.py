@@ -390,6 +390,35 @@ def test_non_string_paths_name_the_key(tmp_path, capsys, command, key, overrides
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source, doc, message", [
+    ("inline", [1.0, 2.0], "inline weights invalid: weight document must be a JSON object, "
+                           "got list"),
+    ("inline", "weights.json", "inline weights invalid: weight document must be a JSON "
+                               "object, got str"),
+    ("path", [1.0, 2.0], "cannot load weights from {path}: weight document must be a JSON "
+                         "object, got list"),
+    ("inline", {"degree_K": 3.7}, "inline weights invalid: degree_K must be an integer, "
+                                  "got 3.7"),
+    ("path", {"degree_K": 3.7}, "cannot load weights from {path}: degree_K must be an "
+                                "integer, got 3.7"),
+])
+def test_malformed_weight_documents_are_config_errors(tmp_path, capsys, lowpass_spec,
+                                                      source, doc, message):
+    # a list or a string once ended in a TypeError traceback and exit 1, and
+    # "degree_K": 3.7 loaded as K = 3 and exited 0
+    if isinstance(doc, dict):
+        doc = {**lowpass_spec.to_dict(), **doc}
+    path = tmp_path / "weights.json"
+    if source == "path":
+        path.write_text(json.dumps(doc))
+        doc = "weights.json"
+    cfg = write_config(tmp_path, weights={source: doc})
+    out = tmp_path / "out"
+    assert run_cli(["kernel", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+    assert not out.exists()
+
+
 def test_negative_matched_half_count_names_the_key(tmp_path, capsys):
     cfg = write_config(tmp_path, weights={"matched": {"half_count_m": -1}})
     out = tmp_path / "out"
@@ -680,6 +709,17 @@ class TestFitCommand:
         np.testing.assert_allclose(inverse_weight_eval(refit, om),
                                    inverse_weight_eval(lowpass_spec, om),
                                    atol=1e-8)
+        # the written document loads as the kernel's weights, inline too
+        inline = write_config(tmp_path, name="inline.json",
+                              weights={"inline": json.loads((out / "weights.json").read_text())})
+        by_path = write_config(tmp_path, name="path.json",
+                               weights={"path": str(out / "weights.json")})
+        kernels = []
+        for name, config in (("inline", inline), ("path", by_path)):
+            assert run_cli(["kernel", "--config", str(config), "--output-dir",
+                            str(tmp_path / name), "--quiet"]) == 0
+            kernels.append((tmp_path / name / "kernel.csv").read_bytes())
+        assert kernels[0] == kernels[1]
 
     def test_output_escape_rejected(self, tmp_path):
         cfg = write_config(tmp_path, fit={"density_csv": "density.csv"},

@@ -234,6 +234,19 @@ class TestTabulatedPSD:
             expected = [cardinal(gram, n, t_eval) for n in range(-N, N + 1)]
             np.testing.assert_allclose(row, expected, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("T, N, t_eval", [(0.8, 5, 0.37), (0.4, 7, -1.15), (1.0, 3, 1.0),
+                                              (1 / 3, 6, 2.9), (0.5, 0, -0.2)])
+    def test_shannon_predictor_row_is_truncated_shannon(self, lowpass_psd, T, N, t_eval):
+        # one path for every sinc row: weight n is the truncated sinc series
+        # of the unit sample e_n, bit for bit
+        row = _predictor_row(lowpass_psd, "shannon", T, N, t_eval)
+        assert row.shape == (2 * N + 1,)
+        for n, weight in enumerate(row):
+            unit = np.zeros(2 * N + 1)
+            unit[n] = 1.0
+            value = truncated_shannon(SampleSet(T, unit), t_eval)
+            assert weight.tobytes() == np.float64(value).tobytes()
+
     def test_not_positive_definite_error(self, highfreq_signal):
         sigma = 2.0 * 2.0 * np.pi * B / (3 + 2 * 11 + 1)
         grid = gaussian_smooth(spectral_density_grid(highfreq_signal), sigma)

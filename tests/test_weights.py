@@ -79,6 +79,39 @@ class TestWeightSpec:
         assert loaded.bandwidth_B == spec.bandwidth_B
         np.testing.assert_array_equal(loaded.coeffs_d, spec.coeffs_d)
 
+    @pytest.mark.parametrize("doc", [[1.0, 3, 2], "weights", 3.0, None])
+    def test_document_must_be_an_object(self, doc):
+        # a list or a string once raised a TypeError, which the CLI did not map
+        with pytest.raises(ValueError, match="weight document must be a JSON object"):
+            WeightSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("value, message", [
+        (3.7, "degree_K must be an integer, got 3.7"),
+        (True, "degree_K must be an integer, got True"),
+        ("3", "degree_K is invalid: expected an integer, got '3'"),
+    ])
+    def test_degree_must_be_an_integer(self, value, message):
+        # 3.7 once loaded as K = 3 and true as K = 1
+        doc = {**random_weight_spec(1, degree_K=3).to_dict(), "degree_K": value}
+        with pytest.raises(ValueError, match=message):
+            WeightSpec.from_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("bandwidth_B", "1.0"), ("floor_alpha", True), ("half_count_M", 2.5),
+        ("coeffs_d", "1, 2, 1"), ("coeffs_d", [[1.0]]), ("coeffs_d", [1.0, "2", 1.0]),
+    ])
+    def test_fields_are_checked_by_type(self, key, value):
+        doc = {**random_weight_spec(1).to_dict(), key: value}
+        with pytest.raises(ValueError, match=key.split("_")[0]):
+            WeightSpec.from_dict(doc)
+
+    def test_integral_float_degree_loads(self):
+        # JSON may write 3 as 3.0
+        spec = random_weight_spec(1, degree_K=3)
+        loaded = WeightSpec.from_dict({**spec.to_dict(), "degree_K": 3.0})
+        assert loaded.degree_K == 3 and isinstance(loaded.degree_K, int)
+        assert loaded.to_dict() == spec.to_dict()
+
 
 class TestInverseWeightEval:
     def test_single_rectangle_gives_unit_weight(self):
